@@ -369,10 +369,14 @@ let e6_transactions () =
 
 (* ---------------------------------------------------------------- E7 *)
 
-(* Conclusions: parallel operators (PRISMA).  Simulated speedup of
-   partitioned Γ and ⋈ as fragments grow, uniform and skewed. *)
+(* Conclusions: parallel operators (PRISMA).  For partitioned Γ and ⋈
+   as fragments grow, uniform and skewed: the work-balance bound of the
+   partition kernel's buckets (total rows over the largest bucket, the
+   speedup the fragments allow on enough cores), and the result of the
+   threshold-0 Exchange plan at that fragment count, which must be
+   bag-equal to the sequential plan's. *)
 let e7_parallel () =
-  header "E7  parallel operators (simulated, partitioned)";
+  header "E7  parallel operators (partition work balance, Exchange plans)";
   let n = if quick then 20_000 else 100_000 in
   let rng = W.Rng.make 7 in
   let uniform = W.Synth.two_column_int ~rng ~size:n ~distinct:512 in
@@ -385,25 +389,65 @@ let e7_parallel () =
   let left, right =
     W.Synth.join_pair ~rng ~left:jn ~right:(jn / 4) ~key_range:2048
   in
-  row "  %4s | %14s | %14s | %14s@." "p" "grp uniform" "grp zipf(1.2)"
-    "join uniform";
+  let db =
+    Database.of_relations
+      [ ("u", uniform); ("z", skewed); ("l", left); ("r", right) ]
+  in
+  let rows name =
+    Array.of_seq
+      (Relation.Bag.to_counted_seq (Relation.bag (Database.find name db)))
+  in
+  let group name = Expr.group_by [ 1 ] [ (Aggregate.Sum, 2) ] (Expr.rel name) in
+  let cases =
+    [
+      (group "u", fun parts -> Exec.partition ~parts ~keys:[ 1 ] (rows "u"));
+      (group "z", fun parts -> Exec.partition ~parts ~keys:[ 1 ] (rows "z"));
+      ( Expr.join
+          (Pred.eq (Scalar.attr 1) (Scalar.attr 3))
+          (Expr.rel "l") (Expr.rel "r"),
+        fun parts ->
+          (* A fragment's work is both sides of its co-partitioned pair. *)
+          Array.map2 Array.append
+            (Exec.partition ~parts ~keys:[ 1 ] (rows "l"))
+            (Exec.partition ~parts ~keys:[ 1 ] (rows "r")) );
+    ]
+  in
+  let sequential =
+    List.map (fun (e, _) -> Exec.run db (Planner.plan db e)) cases
+  in
+  row "  %4s | %14s | %14s | %14s | %9s | %s@." "p" "grp uniform"
+    "grp zipf(1.2)" "join uniform" "exchanges" "bag-equal";
   List.iter
     (fun parts ->
-      let g1 =
-        Ext.Parallel.par_group_by ~parts ~attrs:[ 1 ]
-          ~aggs:[ (Aggregate.Sum, 2) ] uniform
+      let plans =
+        List.map
+          (fun (e, _) ->
+            Planner.plan ~jobs:parts ~cores:parts ~parallel_threshold:0 db e)
+          cases
       in
-      let g2 =
-        Ext.Parallel.par_group_by ~parts ~attrs:[ 1 ]
-          ~aggs:[ (Aggregate.Sum, 2) ] skewed
+      let equal =
+        List.for_all2
+          (fun plan expected -> Relation.equal expected (Exec.run db plan))
+          plans sequential
       in
-      let j =
-        Ext.Parallel.par_join ~parts ~left_keys:[ 1 ] ~right_keys:[ 1 ] left
-          right
-      in
-      row "  %4d | %10.2fx sp | %10.2fx sp | %10.2fx sp@." parts
-        g1.Ext.Parallel.speedup g2.Ext.Parallel.speedup j.Ext.Parallel.speedup)
-    [ 1; 2; 4; 8; 16 ]
+      row "  %4d |" parts;
+      List.iter
+        (fun (_, buckets) ->
+          row " %10.2fx sp |" (Exec.work_balance (buckets parts)))
+        cases;
+      row " %9d | %b@."
+        (List.fold_left (fun acc p -> acc + Physical.exchange_count p) 0 plans)
+        equal;
+      if not equal then (
+        row "  ERROR: an Exchange plan at p=%d differed from the sequential \
+             plan@."
+          parts;
+        exit 1))
+    [ 1; 2; 4; 8; 16 ];
+  (* Forced Exchanges on a few thousand rows are not the planner's
+     question; keep their measured losses out of later experiments'
+     adaptive plans. *)
+  Feedback.reset ()
 
 (* ---------------------------------------------------------------- E8 *)
 

@@ -1,12 +1,13 @@
 (* The extensions from the paper's conclusions: PRISMA-style parallel
-   operators (simulated by hash partitioning) and the transitive closure
-   operator, on a flight-network scenario.
+   operators (Exchange plans over hash-partitioned fragments) and the
+   transitive closure operator, on a flight-network scenario.
 
      dune exec examples/parallel_and_closure.exe *)
 
 open Mxra_relational
 open Mxra_core
 open Mxra_ext
+module Engine = Mxra_engine
 module W = Mxra_workload
 
 let () =
@@ -16,42 +17,51 @@ let () =
   let sales = W.Synth.two_column_int ~rng ~size:100_000 ~distinct:512 in
   Format.printf "sales: %d tuples, %d distinct@.@." (Relation.cardinal sales)
     (Relation.support_size sales);
+  let rows r = Array.of_seq (Relation.Bag.to_counted_seq (Relation.bag r)) in
+  let largest buckets =
+    Array.fold_left (fun acc b -> max acc (Array.length b)) 0 buckets
+  in
 
-  Format.printf "parallel grouping (Γ region → SUM) by fragment count:@.";
+  (* An Exchange partitions Γ's input on the grouping attribute; the
+     bucket sizes bound the speedup its fragments allow. *)
+  Format.printf "partitioning Γ region → SUM by fragment count:@.";
   List.iter
     (fun parts ->
-      let report =
-        Parallel.par_group_by ~parts ~attrs:[ 1 ]
-          ~aggs:[ (Aggregate.Sum, 2) ] sales
-      in
-      Format.printf "  p=%2d  max fragment=%6d tuples  simulated speedup=%.2fx@."
-        parts
-        (Array.fold_left max 0 report.Parallel.fragment_work)
-        report.Parallel.speedup)
+      let buckets = Engine.Exec.partition ~parts ~keys:[ 1 ] (rows sales) in
+      Format.printf
+        "  p=%2d  largest bucket=%6d rows  work-balance speedup=%.2fx@." parts
+        (largest buckets)
+        (Engine.Exec.work_balance buckets))
     [ 1; 2; 4; 8; 16 ];
 
-  (* Skew breaks it: a Zipf-heavy key column concentrates the work. *)
+  (* Skew breaks it: a Zipf-heavy key column concentrates the work.  Each
+     row carries its own sequence number, so no two rows collapse into
+     one counted tuple and every row is a unit of fragment work. *)
+  let zipf = W.Zipf.make ~n:512 ~s:1.3 in
   let skewed =
-    W.Synth.relation ~rng
-      ~schema:(Schema.of_list [ ("k", Domain.DInt); ("v", Domain.DInt) ])
-      ~size:50_000 ~dup_factor:4 ~skew:1.3 ()
-  in
-  let report =
-    Parallel.par_group_by ~parts:8 ~attrs:[ 1 ] ~aggs:[ (Aggregate.Cnt, 1) ]
-      skewed
+    Relation.of_list
+      (Schema.of_list [ ("k", Domain.DInt); ("seq", Domain.DInt) ])
+      (List.init 50_000 (fun i ->
+           Tuple.of_list [ Value.Int (W.Zipf.sample zipf rng); Value.Int i ]))
   in
   Format.printf
     "@.same with a Zipf(1.3) key column, p=8: speedup only %.2fx@.@."
-    report.Parallel.speedup;
+    (Engine.Exec.work_balance
+       (Engine.Exec.partition ~parts:8 ~keys:[ 1 ] (rows skewed)));
 
-  (* Correctness is never at stake — merge of fragments equals the
-     sequential operator (tested; shown here once). *)
-  let seq = Eval.group_by [ 1 ] [ (Aggregate.Cnt, 1) ] skewed in
-  let report' =
-    Parallel.par_group_by ~parts:8 ~attrs:[ 1 ] ~aggs:[ (Aggregate.Cnt, 1) ] skewed
+  (* Correctness is never at stake: the plan with an Exchange over every
+     eligible operator computes the sequential plan's bag (tested; shown
+     here once). *)
+  let db = Database.of_relations [ ("skewed", skewed) ] in
+  let q = Expr.group_by [ 1 ] [ (Aggregate.Cnt, 1) ] (Expr.rel "skewed") in
+  let parallel =
+    Engine.Planner.plan ~jobs:8 ~cores:8 ~parallel_threshold:0 db q
   in
-  Format.printf "partitioned result = sequential result: %b@.@."
-    (Relation.equal seq report'.Parallel.result);
+  Format.printf "%a@." Engine.Physical.pp parallel;
+  Format.printf "Exchange result = sequential result: %b@.@."
+    (Relation.equal
+       (Engine.Exec.run db (Engine.Planner.plan db q))
+       (Engine.Exec.run db parallel));
 
   (* --- transitive closure ---------------------------------------------- *)
   let flight_schema =

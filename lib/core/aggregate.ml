@@ -167,3 +167,64 @@ let compute_for domain kind column =
   | (Cnt | Sum | Avg | Min | Max | Var | Stddev), _, _ -> compute kind column
 
 let pp ppf kind = Format.pp_print_string ppf (name kind)
+
+module Acc = struct
+  type t =
+    | Count of int
+    | Int_sum of int
+    | Least of Value.t option
+    | Greatest of Value.t option
+    | Column of kind * Domain.t * (Value.t * int) list
+        (* Buffered fallback finished by [compute_for], used wherever
+           incremental folding could disagree with the formal semantics
+           in the last float ulp (AVG, float SUM, VAR, STDDEV);
+           [canonical] orders the column, so the result is bit-identical
+           however the rows were split or merged. *)
+
+  let init kind domain =
+    match (kind, domain) with
+    | Cnt, _ -> Count 0
+    | Sum, (Domain.DInt | Domain.DStr | Domain.DBool) -> Int_sum 0
+    | Min, _ -> Least None
+    | Max, _ -> Greatest None
+    | (Sum | Avg | Var | Stddev), _ -> Column (kind, domain, [])
+
+  let keep better v = function
+    | None -> Some v
+    | Some w as best ->
+        if better (Value.compare_same_domain v w) then Some v else best
+
+  let lt c = c < 0
+  let gt c = c > 0
+  let keep_opt better a = function None -> a | Some v -> keep better v a
+
+  let step acc v n =
+    match acc with
+    | Count c -> Count (c + n)
+    | Int_sum s -> (
+        match v with
+        | Value.Int x -> Int_sum (s + (x * n))
+        | Value.Float _ | Value.Str _ | Value.Bool _ ->
+            error "SUM over a non-integer value %a" Value.pp v)
+    | Least best -> Least (keep lt v best)
+    | Greatest best -> Greatest (keep gt v best)
+    | Column (kind, domain, column) -> Column (kind, domain, (v, n) :: column)
+
+  let merge a b =
+    match (a, b) with
+    | Count x, Count y -> Count (x + y)
+    | Int_sum x, Int_sum y -> Int_sum (x + y)
+    | Least x, Least y -> Least (keep_opt lt x y)
+    | Greatest x, Greatest y -> Greatest (keep_opt gt x y)
+    | Column (kind, domain, c1), Column (_, _, c2) ->
+        Column (kind, domain, List.rev_append c1 c2)
+    | (Count _ | Int_sum _ | Least _ | Greatest _ | Column _), _ ->
+        invalid_arg "Aggregate.Acc.merge: different aggregates"
+
+  let finish = function
+    | Count c | Int_sum c -> Value.Int c
+    | Least None -> raise (Undefined Min)
+    | Greatest None -> raise (Undefined Max)
+    | Least (Some v) | Greatest (Some v) -> v
+    | Column (kind, domain, column) -> compute_for domain kind column
+end

@@ -87,3 +87,34 @@ val max_v : (Value.t * int) list -> Value.t
 (** @raise Undefined on empty input. *)
 
 val pp : Format.formatter -> kind -> unit
+
+(** {1 Incremental accumulation}
+
+    The one accumulator every Γ execution path folds rows into:
+    sequential, per fragment, and partial-then-merged for a global
+    aggregate split across fragments.  CNT and integer SUM fold, MIN
+    and MAX keep the extremum, and float SUM, AVG, VAR and STDDEV
+    buffer the counted column and {!finish} through {!compute_for}, so
+    every result is bit-identical to the reference evaluator however
+    the input was split. *)
+module Acc : sig
+  type t
+  (** An immutable accumulator state. *)
+
+  val init : kind -> Domain.t -> t
+  (** The empty state of an aggregate over an attribute of the domain. *)
+
+  val step : t -> Value.t -> int -> t
+  (** [step acc v n] folds in value [v] with multiplicity [n].
+      @raise Scalar.Eval_error on a non-integer value under integer
+      SUM. *)
+
+  val merge : t -> t -> t
+  (** Combine two states of the same aggregate, built over disjoint
+      parts of one input.
+      @raise Invalid_argument on states of different aggregates. *)
+
+  val finish : t -> Value.t
+  (** The aggregate's value.
+      @raise Undefined on an empty input for AVG/MIN/MAX/VAR/STDDEV. *)
+end

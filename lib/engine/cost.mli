@@ -70,7 +70,7 @@ val exchange_floor :
 (** Minimum estimated input cardinality at which inserting an
     [Exchange] with [parts] fragments is predicted to pay: the static
     [threshold], raised to any measured break-even
-    ({!Mxra_ext.Parallel.Feedback.min_profitable_rows}) when one is
+    ({!Feedback.min_profitable_rows}) when one is
     given, and scaled with the fragment count so each fragment still
     clears half the threshold on its own.  Callers that force a
     threshold (tests passing 0) should pass [feedback_rows:None] so the

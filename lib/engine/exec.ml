@@ -4,7 +4,6 @@ module Trace = Mxra_obs.Trace
 module Ash = Mxra_obs.Ash
 module Pool = Mxra_ext.Pool
 module Index = Mxra_ext.Index
-module Feedback = Mxra_ext.Parallel.Feedback
 
 module TH = Hashtbl.Make (struct
   type t = Tuple.t
@@ -12,70 +11,6 @@ module TH = Hashtbl.Make (struct
   let equal = Tuple.equal
   let hash = Tuple.hash
 end)
-
-(* --- incremental aggregate accumulators ------------------------------- *)
-
-type agg_state =
-  | S_cnt of int
-  | S_sum_int of int
-  | S_min of Value.t option
-  | S_max of Value.t option
-  | S_column of Aggregate.kind * Domain.t * (Value.t * int) list
-      (* Buffered fallback delegating to the reference computation, used
-         wherever incremental folding could disagree with the formal
-         semantics in the last float ulp (AVG, float SUM, VAR, STDDEV);
-         Aggregate canonicalises the column order internally, so engine
-         and reference agree bit for bit. *)
-
-let initial_state kind domain =
-  match (kind, domain) with
-  | Aggregate.Cnt, _ -> S_cnt 0
-  | Aggregate.Sum, Domain.DFloat -> S_column (kind, domain, [])
-  | Aggregate.Sum, (Domain.DInt | Domain.DStr | Domain.DBool) -> S_sum_int 0
-  | Aggregate.Avg, _ -> S_column (kind, domain, [])
-  | Aggregate.Min, _ -> S_min None
-  | Aggregate.Max, _ -> S_max None
-  | (Aggregate.Var | Aggregate.Stddev), _ -> S_column (kind, domain, [])
-
-let update_state state v n =
-  match state with
-  | S_cnt c -> S_cnt (c + n)
-  | S_sum_int s -> (
-      match v with
-      | Value.Int x -> S_sum_int (s + (x * n))
-      | Value.Float _ | Value.Str _ | Value.Bool _ ->
-          raise (Scalar.Eval_error "SUM over a non-integer value"))
-  | S_min best -> (
-      match best with
-      | None -> S_min (Some v)
-      | Some w ->
-          S_min (Some (if Value.compare_same_domain v w < 0 then v else w)))
-  | S_max best -> (
-      match best with
-      | None -> S_max (Some v)
-      | Some w ->
-          S_max (Some (if Value.compare_same_domain v w > 0 then v else w)))
-  | S_column (kind, domain, column) -> S_column (kind, domain, (v, n) :: column)
-
-let finalize_state = function
-  | S_cnt c -> Value.Int c
-  | S_sum_int s -> Value.Int s
-  | S_min None -> raise (Aggregate.Undefined Aggregate.Min)
-  | S_min (Some v) -> v
-  | S_max None -> raise (Aggregate.Undefined Aggregate.Max)
-  | S_max (Some v) -> v
-  | S_column (kind, domain, column) -> Aggregate.compute_for domain kind column
-
-(* A fragment's output, produced on a pool lane.  The lane id and the
-   measured interval become a per-worker span in the trace (emitted from
-   the coordinating domain — sinks are not required to be thread-safe),
-   so Chrome/Perfetto shows one lane per domain. *)
-type fragment_out = {
-  frag_rows : (Tuple.t * int) array;
-  frag_lane : int;
-  frag_start : float;
-  frag_dur : float;
-}
 
 (* --- chunked streams --------------------------------------------------- *)
 
@@ -181,6 +116,228 @@ let chunks_of_bag size bag =
 
 let concat_chunks cs = Array.concat (List.of_seq cs)
 
+(* An expanding operator (join, product) pushes zero or more output rows
+   per input row with [f push c]; the outputs are re-chunked at [size],
+   reusing one buffer across input chunks, so large fan-outs stay
+   nursery-sized. *)
+let expand_chunks size f chunks =
+  let out = Vec.create size in
+  Seq.concat_map
+    (fun c ->
+      let outs = ref [] in
+      let push x =
+        Vec.push out x;
+        if out.Vec.len >= size then outs := Vec.flush out :: !outs
+      in
+      f push c;
+      if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
+      List.to_seq (List.rev !outs))
+    chunks
+
+(* --- the kernels shared by sequential and Exchange execution ---------- *)
+
+(* Hash join.  The build side maps each key to its matching rows; a
+   probe projects its key, looks it up once and walks the match list
+   in place.  The sequential operator builds over a chunk stream, an
+   Exchange fragment over one co-partitioned bucket. *)
+let join_build keys table c =
+  Array.iter
+    (fun ((tuple, _) as row) ->
+      let key = Tuple.project keys tuple in
+      let existing = Option.value ~default:[] (TH.find_opt table key) in
+      TH.replace table key (row :: existing))
+    c
+
+let join_probe table ~keys ~residual push c =
+  Array.iter
+    (fun (ltuple, ln) ->
+      match TH.find_opt table (Tuple.project keys ltuple) with
+      | None -> ()
+      | Some matches ->
+          List.iter
+            (fun (rtuple, rn) ->
+              let combined = Tuple.concat ltuple rtuple in
+              if Pred.eval combined residual then push (combined, ln * rn))
+            matches)
+    c
+
+(* Hash partitioning: a row's bucket combines the per-attribute
+   [Value.hash] of its key attributes with the usual 31x mix, so no key
+   tuple is projected.  All copies of a key land in one bucket, and two
+   inputs partitioned on equal-length key lists agree on the bucket of
+   every key value they share — the co-partitioning a distributed
+   equi-join or grouped Γ needs (Theorem 3.2).  Buckets keep input
+   order. *)
+let slot ~parts keys t =
+  let rec mix h = function
+    | [] -> h
+    | k :: ks -> mix ((h * 31) + Value.hash (Tuple.attr t k)) ks
+  in
+  mix 0 keys land max_int mod parts
+
+let partition ~parts ~keys rows =
+  if parts <= 0 then invalid_arg "Exec.partition: parts <= 0";
+  let slots = Array.map (fun (t, _) -> slot ~parts keys t) rows in
+  let sizes = Array.make parts 0 in
+  Array.iter (fun i -> sizes.(i) <- sizes.(i) + 1) slots;
+  let buckets = Array.map (fun n -> Array.make n Vec.dummy) sizes in
+  let filled = Array.make parts 0 in
+  Array.iteri
+    (fun r i ->
+      buckets.(i).(filled.(i)) <- rows.(r);
+      filled.(i) <- filled.(i) + 1)
+    slots;
+  buckets
+
+let work_balance buckets =
+  let sizes = Array.map Array.length buckets in
+  let total = Array.fold_left ( + ) 0 sizes in
+  let busiest = Array.fold_left max 0 sizes in
+  if busiest = 0 then 1.0 else float_of_int total /. float_of_int busiest
+
+(* Contiguous slices are a valid fragmentation for per-tuple operators
+   and global aggregates: σ and π distribute over any ⊎-decomposition
+   (Theorem 3.2), and accumulators merge. *)
+let slices parts arr =
+  let n = Array.length arr in
+  Array.init parts (fun i ->
+      let lo = i * n / parts and hi = (i + 1) * n / parts in
+      Array.sub arr lo (hi - lo))
+
+(* Grouped aggregation (Definition 3.4).  A [grouping] carries the
+   grouping attributes, the aggregated positions and each aggregate's
+   empty accumulator, typed from the input schema. *)
+type grouping = {
+  attrs : int list;
+  positions : int array;
+  init : Aggregate.Acc.t array;
+}
+
+let grouping db src attrs aggs =
+  let schema = Typecheck.infer_db db (Physical.to_logical src) in
+  {
+    attrs;
+    positions = Array.of_list (List.map snd aggs);
+    init =
+      Array.of_list
+        (List.map
+           (fun (kind, p) -> Aggregate.Acc.init kind (Schema.domain schema p))
+           aggs);
+  }
+
+(* The group-table loop: fold one chunk of counted rows into per-group
+   accumulators. *)
+let group_rows g groups c =
+  Array.iter
+    (fun (tuple, n) ->
+      let key = Tuple.project g.attrs tuple in
+      let accs =
+        match TH.find_opt groups key with
+        | Some accs -> accs
+        | None ->
+            let accs = Array.copy g.init in
+            TH.add groups key accs;
+            accs
+      in
+      for i = 0 to Array.length accs - 1 do
+        let v = Tuple.attr tuple g.positions.(i) in
+        accs.(i) <- Aggregate.Acc.step accs.(i) v n
+      done)
+    c
+
+(* Fold a partial group table, built over a disjoint part of the same
+   input, into [into]. *)
+let merge_groups into groups =
+  TH.iter
+    (fun key accs ->
+      match TH.find_opt into key with
+      | Some mine ->
+          TH.replace into key (Array.map2 Aggregate.Acc.merge mine accs)
+      | None -> TH.add into key accs)
+    groups
+
+let finish_groups g groups =
+  (* Definition 3.4: with an empty grouping list the result is one tuple
+     even over the empty input. *)
+  if g.attrs = [] && TH.length groups = 0 then
+    TH.add groups Tuple.unit (Array.copy g.init);
+  Seq.map
+    (fun (key, accs) ->
+      let values = Array.to_list (Array.map Aggregate.Acc.finish accs) in
+      (Tuple.concat key (Tuple.of_list values), 1))
+    (TH.to_seq groups)
+
+(* A fragment's result, produced on a pool lane.  The lane id and the
+   measured interval become a per-worker span in the trace (emitted from
+   the coordinating domain — sinks are not required to be thread-safe),
+   so Chrome/Perfetto shows one lane per domain. *)
+type 'a fragment_out = {
+  frag_out : 'a;
+  frag_lane : int;
+  frag_start : float;
+  frag_dur : float;
+}
+
+(* Run one thunk per fragment on the global pool (each fragment is one
+   morsel), emit the worker spans, and return the results in fragment
+   order.  The Exchange started at [t0] over [rows] materialised input
+   rows; [wall] covers exactly its own machinery — partition, pool
+   dispatch, fragments — while [busy] is the summed fragment work
+   alone.  [busy - wall], the time the pool saved over running the
+   fragments inline, goes to {!Feedback}: negative means this Exchange
+   should not have been inserted at this input size. *)
+let on_pool ~name ~t0 ~rows ~out_rows tasks =
+  let outs =
+    Pool.map_array ~chunk:1 (Pool.global ())
+      (fun task ->
+        let start = Trace.now_us () in
+        let out = task () in
+        {
+          frag_out = out;
+          frag_lane = (Stdlib.Domain.self () :> int);
+          frag_start = start;
+          frag_dur = Trace.now_us () -. start;
+        })
+      tasks
+  in
+  let wall_ms = (Trace.now_us () -. t0) /. 1000.0 in
+  let busy_ms =
+    Array.fold_left (fun acc o -> acc +. o.frag_dur) 0.0 outs /. 1000.0
+  in
+  Feedback.note ~rows ~gain_ms:(busy_ms -. wall_ms);
+  if Trace.enabled () then
+    Array.iteri
+      (fun i o ->
+        Trace.complete name ~tid:o.frag_lane ~start_us:o.frag_start
+          ~dur_us:o.frag_dur
+          ~attrs:
+            [
+              ("fragment", Trace.Int i);
+              ("rows", Trace.Int (out_rows o.frag_out));
+            ])
+      outs;
+  Array.map (fun o -> o.frag_out) outs
+
+(* The maximal σ/π pipeline above a source, as one per-tuple function. *)
+let rec pipeline_stages plan =
+  match plan with
+  | Physical.Filter (p, t) ->
+      let src, f = pipeline_stages t in
+      ( src,
+        fun tn ->
+          match f tn with
+          | Some (tup, _) as r when Pred.eval tup p -> r
+          | Some _ | None -> None )
+  | Physical.Project_op (exprs, t) ->
+      let src, f = pipeline_stages t in
+      ( src,
+        fun tn ->
+          Option.map
+            (fun (tup, n) ->
+              (Tuple.of_list (List.map (Scalar.eval tup) exprs), n))
+            (f tn) )
+  | src -> (src, Option.some)
+
 (* --- plan execution ---------------------------------------------------- *)
 
 (* Collapse a chunk stream into a per-tuple count table. *)
@@ -267,26 +424,16 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
          phase; the structure is shared via the index cache. *)
       let idx = Index.get def (Database.find def.idx_rel db) in
       hooks.observe plan "keys" (Index.distinct_keys idx);
-      let out = Vec.create size in
-      let expand c =
-        let outs = ref [] in
-        let push x =
-          Vec.push out x;
-          if out.Vec.len >= size then outs := Vec.flush out :: !outs
-        in
-        Array.iter
-          (fun (ltuple, ln) ->
-            let key = List.map (fun i -> Tuple.attr ltuple i) outer_keys in
-            Relation.Bag.iter
-              (fun rtuple rn ->
-                let combined = Tuple.concat ltuple rtuple in
-                if Pred.eval combined residual then push (combined, ln * rn))
-              (Index.probe_point idx key))
-          c;
-        if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-        List.to_seq (List.rev !outs)
-      in
-      Seq.concat_map expand (exec ~hooks ~size db outer)
+      expand_chunks size
+        (fun push ->
+          Array.iter (fun (ltuple, ln) ->
+              let key = List.map (fun i -> Tuple.attr ltuple i) outer_keys in
+              Relation.Bag.iter
+                (fun rtuple rn ->
+                  let combined = Tuple.concat ltuple rtuple in
+                  if Pred.eval combined residual then push (combined, ln * rn))
+                (Index.probe_point idx key)))
+        (exec ~hooks ~size db outer)
   | Physical.Filter (p, t) ->
       Seq.filter_map
         (fun c ->
@@ -315,37 +462,15 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
       let table = TH.create 256 in
       let entries = ref 0 in
       Seq.iter
-        (Array.iter (fun (tuple, n) ->
-             let key = Tuple.project right_keys tuple in
-             let existing = Option.value ~default:[] (TH.find_opt table key) in
-             incr entries;
-             TH.replace table key ((tuple, n) :: existing)))
+        (fun c ->
+          entries := !entries + Array.length c;
+          join_build right_keys table c)
         (exec ~hooks ~size db right);
       hooks.observe plan "build" !entries;
       hooks.observe plan "keys" (TH.length table);
-      let out = Vec.create size in
-      let expand c =
-        let outs = ref [] in
-        let push x =
-          Vec.push out x;
-          if out.Vec.len >= size then outs := Vec.flush out :: !outs
-        in
-        Array.iter
-          (fun (ltuple, ln) ->
-            match TH.find_opt table (Tuple.project left_keys ltuple) with
-            | None -> ()
-            | Some matches ->
-                List.iter
-                  (fun (rtuple, rn) ->
-                    let combined = Tuple.concat ltuple rtuple in
-                    if Pred.eval combined residual then
-                      push (combined, ln * rn))
-                  matches)
-          c;
-        if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-        List.to_seq (List.rev !outs)
-      in
-      Seq.concat_map expand (exec ~hooks ~size db left)
+      expand_chunks size
+        (join_probe table ~keys:left_keys ~residual)
+        (exec ~hooks ~size db left)
   | Physical.Merge_join { left_keys; right_keys; residual; left; right; _ } ->
       (* Sort both inputs by their key projections and merge key groups.
          Both sides materialise; output is emitted lazily per group
@@ -404,46 +529,25 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
   | Physical.Nested_loop (p, l, r) ->
       let right_rows = concat_chunks (exec ~hooks ~size db r) in
       hooks.observe plan "inner" (Array.length right_rows);
-      let out = Vec.create size in
-      let expand c =
-        let outs = ref [] in
-        let push x =
-          Vec.push out x;
-          if out.Vec.len >= size then outs := Vec.flush out :: !outs
-        in
-        Array.iter
-          (fun (ltuple, ln) ->
-            Array.iter
-              (fun (rtuple, rn) ->
-                let combined = Tuple.concat ltuple rtuple in
-                if Pred.eval combined p then push (combined, ln * rn))
-              right_rows)
-          c;
-        if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-        List.to_seq (List.rev !outs)
-      in
-      Seq.concat_map expand (exec ~hooks ~size db l)
+      expand_chunks size
+        (fun push ->
+          Array.iter (fun (ltuple, ln) ->
+              Array.iter
+                (fun (rtuple, rn) ->
+                  let combined = Tuple.concat ltuple rtuple in
+                  if Pred.eval combined p then push (combined, ln * rn))
+                right_rows))
+        (exec ~hooks ~size db l)
   | Physical.Cross_product (l, r) ->
       let right_rows = concat_chunks (exec ~hooks ~size db r) in
       hooks.observe plan "inner" (Array.length right_rows);
-      let out = Vec.create size in
-      let expand c =
-        let outs = ref [] in
-        let push x =
-          Vec.push out x;
-          if out.Vec.len >= size then outs := Vec.flush out :: !outs
-        in
-        Array.iter
-          (fun (ltuple, ln) ->
-            Array.iter
-              (fun (rtuple, rn) ->
-                push (Tuple.concat ltuple rtuple, ln * rn))
-              right_rows)
-          c;
-        if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-        List.to_seq (List.rev !outs)
-      in
-      Seq.concat_map expand (exec ~hooks ~size db l)
+      expand_chunks size
+        (fun push ->
+          Array.iter (fun (ltuple, ln) ->
+              Array.iter
+                (fun (rtuple, rn) -> push (Tuple.concat ltuple rtuple, ln * rn))
+                right_rows))
+        (exec ~hooks ~size db l)
   | Physical.Union_all (l, r) ->
       Seq.append (exec ~hooks ~size db l) (exec ~hooks ~size db r)
   | Physical.Hash_diff (l, r) ->
@@ -475,327 +579,96 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
       hooks.observe plan "distinct" (TH.length seen);
       chunks_of_seq size (Seq.map (fun (tuple, ()) -> (tuple, 1)) (TH.to_seq seen))
   | Physical.Hash_aggregate (attrs, aggs, t) ->
-      exec_aggregate ~hooks ~size db plan attrs aggs t
+      let g = grouping db t attrs aggs in
+      let groups = TH.create 64 in
+      Seq.iter (group_rows g groups) (exec ~hooks ~size db t);
+      let out = finish_groups g groups in
+      hooks.observe plan "groups" (TH.length groups);
+      chunks_of_seq size out
   | Physical.Exchange { parts; child } ->
       exec_exchange ~hooks ~size db plan parts child
 
 (* --- parallel execution of an Exchange node ---------------------------- *)
-
-(* Run one thunk per fragment on the global pool (each fragment is one
-   morsel), record lanes and intervals, emit the worker spans, and
-   return the outputs in fragment order. *)
-and on_pool ~name tasks =
-  let pool = Pool.global () in
-  let outs =
-    Pool.map_array ~chunk:1 pool
-      (fun task ->
-        let t0 = Trace.now_us () in
-        let rows = task () in
-        {
-          frag_rows = rows;
-          frag_lane = (Stdlib.Domain.self () :> int);
-          frag_start = t0;
-          frag_dur = Trace.now_us () -. t0;
-        })
-      tasks
-  in
-  if Trace.enabled () then
-    Array.iteri
-      (fun i o ->
-        Trace.complete name ~tid:o.frag_lane ~start_us:o.frag_start
-          ~dur_us:o.frag_dur
-          ~attrs:
-            [
-              ("fragment", Trace.Int i);
-              ("rows", Trace.Int (Array.length o.frag_rows));
-            ])
-      outs;
-  outs
-
-(* Contiguous slices are a valid fragmentation for per-tuple operators:
-   σ and π distribute over any ⊎-decomposition (Theorem 3.2). *)
-and slices parts arr =
-  let n = Array.length arr in
-  Array.init parts (fun i ->
-      let lo = i * n / parts and hi = (i + 1) * n / parts in
-      Array.sub arr lo (hi - lo))
-
-(* Hash-partition materialised rows into [parts] buckets on the
-   projected key tuple; co-partitioning two inputs on equal-length key
-   lists aligns matching tuples in same-numbered buckets. *)
-and bucket_rows parts keys rows =
-  let buckets = Array.make parts [] in
-  Array.iter
-    (fun (t, n) ->
-      let slot = Tuple.hash (Tuple.project keys t) land max_int mod parts in
-      buckets.(slot) <- (t, n) :: buckets.(slot))
-    rows;
-  buckets
-
-(* The maximal σ/π pipeline above a source, as one per-tuple function. *)
-and pipeline_stages plan =
-  match plan with
-  | Physical.Filter (p, t) ->
-      let src, f = pipeline_stages t in
-      ( src,
-        fun tn ->
-          match f tn with
-          | Some (tup, _) as r when Pred.eval tup p -> r
-          | Some _ | None -> None )
-  | Physical.Project_op (exprs, t) ->
-      let src, f = pipeline_stages t in
-      ( src,
-        fun tn ->
-          Option.map
-            (fun (tup, n) ->
-              (Tuple.of_list (List.map (Scalar.eval tup) exprs), n))
-            (f tn) )
-  | src -> (src, Option.some)
-
-and join_fragment ~left_keys ~right_keys ~residual lefts rights =
-  let table = TH.create 64 in
-  List.iter
-    (fun (t, n) -> TH.add table (Tuple.project right_keys t) (t, n))
-    rights;
-  let out = ref [] in
-  List.iter
-    (fun (lt, ln) ->
-      List.iter
-        (fun (rt, rn) ->
-          let combined = Tuple.concat lt rt in
-          if Pred.eval combined residual then
-            out := (combined, ln * rn) :: !out)
-        (TH.find_all table (Tuple.project left_keys lt)))
-    lefts;
-  Array.of_list !out
-
-and aggregate_fragment input_schema attrs aggs rows =
-  let fresh_states () =
-    Array.of_list
-      (List.map
-         (fun (kind, p) -> initial_state kind (Schema.domain input_schema p))
-         aggs)
-  in
-  let positions = Array.of_list (List.map snd aggs) in
-  let groups = TH.create 64 in
-  List.iter
-    (fun (tuple, n) ->
-      let key = Tuple.project attrs tuple in
-      let states =
-        match TH.find_opt groups key with
-        | Some states -> states
-        | None ->
-            let states = fresh_states () in
-            TH.add groups key states;
-            states
-      in
-      Array.iteri
-        (fun i state ->
-          states.(i) <- update_state state (Tuple.attr tuple positions.(i)) n)
-        states)
-    rows;
-  let out = Array.make (TH.length groups) (Tuple.unit, 0) in
-  let i = ref 0 in
-  TH.iter
-    (fun key states ->
-      let values = Array.to_list (Array.map finalize_state states) in
-      out.(!i) <- (Tuple.concat key (Tuple.of_list values), 1);
-      incr i)
-    groups;
-  out
-
-(* Combine two partial accumulator states of the same aggregate: counts
-   and integer sums add, extrema keep the extremum, buffered columns
-   concatenate (their final computation canonicalises the order, so the
-   combined result is bit-identical to the sequential one). *)
-and combine_state a b =
-  match (a, b) with
-  | S_cnt x, S_cnt y -> S_cnt (x + y)
-  | S_sum_int x, S_sum_int y -> S_sum_int (x + y)
-  | S_min x, S_min y ->
-      S_min
-        (match (x, y) with
-        | None, w | w, None -> w
-        | Some v, Some w ->
-            Some (if Value.compare_same_domain v w < 0 then v else w))
-  | S_max x, S_max y ->
-      S_max
-        (match (x, y) with
-        | None, w | w, None -> w
-        | Some v, Some w ->
-            Some (if Value.compare_same_domain v w > 0 then v else w))
-  | S_column (kind, domain, c1), S_column (_, _, c2) ->
-      S_column (kind, domain, List.rev_append c1 c2)
-  | (S_cnt _ | S_sum_int _ | S_min _ | S_max _ | S_column _), _ ->
-      invalid_arg "Exec: mismatched partial aggregate states"
 
 and exec_exchange ~hooks ~size db plan parts child =
   (* The fused child never runs as a standalone stream, so route the
      merged fragment output through its instrumentation hook — its
      EXPLAIN ANALYZE row then shows the rows its fragments produced
      (operators deeper inside a fused σ/π chain still read zero).  Each
-     fragment's whole output is one chunk. *)
+     fragment's whole output is one chunk.  Inputs are materialised
+     before [t0], which starts the Exchange's own wall time. *)
   let emit outs =
-    hooks.observe plan "parts" (Array.length outs);
+    hooks.observe plan "parts" parts;
     hooks.around child (fun () ->
-        Seq.filter_map
-          (fun o ->
-            if Array.length o.frag_rows = 0 then None else Some o.frag_rows)
-          (Array.to_seq outs))
-  in
-  (* Profitability feedback for the adaptive planner.  Inputs are
-     materialised before [t0], so [wall] covers exactly the Exchange's
-     own machinery — partition, pool dispatch, fragments — while [busy]
-     is the summed fragment work alone.  [busy - wall] is the time the
-     pool saved over running the fragments inline: negative means this
-     Exchange should not have been inserted at this input size. *)
-  let note ~rows t0 busy_ms =
-    let wall_ms = (Trace.now_us () -. t0) /. 1000.0 in
-    Feedback.note ~rows ~parts ~gain_ms:(busy_ms -. wall_ms)
-  in
-  let busy_of outs =
-    Array.fold_left (fun acc o -> acc +. o.frag_dur) 0.0 outs /. 1000.0
+        Seq.filter (fun c -> Array.length c > 0) (Array.to_seq outs))
   in
   match child with
   | Physical.Hash_join { left_keys; right_keys; residual; left; right; _ } ->
       let lrows = concat_chunks (exec ~hooks ~size db left) in
       let rrows = concat_chunks (exec ~hooks ~size db right) in
       let t0 = Trace.now_us () in
-      let lb = bucket_rows parts left_keys lrows in
-      let rb = bucket_rows parts right_keys rrows in
-      let outs =
-        on_pool ~name:"join-worker"
-          (Array.init parts (fun i () ->
-               join_fragment ~left_keys ~right_keys ~residual lb.(i) rb.(i)))
-      in
-      note ~rows:(Array.length lrows + Array.length rrows) t0 (busy_of outs);
-      emit outs
-  | Physical.Hash_aggregate ((_ :: _ as attrs), aggs, src) ->
-      let input_schema = Typecheck.infer_db db (Physical.to_logical src) in
+      let lb = partition ~parts ~keys:left_keys lrows in
+      let rb = partition ~parts ~keys:right_keys rrows in
+      emit
+        (on_pool ~name:"join-worker" ~t0
+           ~rows:(Array.length lrows + Array.length rrows)
+           ~out_rows:Array.length
+           (Array.init parts (fun i () ->
+                let table = TH.create 64 in
+                join_build right_keys table rb.(i);
+                let out = Vec.create 64 in
+                join_probe table ~keys:left_keys ~residual (Vec.push out)
+                  lb.(i);
+                Vec.flush out)))
+  | Physical.Hash_aggregate (attrs, aggs, src) ->
+      let g = grouping db src attrs aggs in
       let rows = concat_chunks (exec ~hooks ~size db src) in
       let t0 = Trace.now_us () in
-      let buckets = bucket_rows parts attrs rows in
-      let outs =
-        on_pool ~name:"agg-worker"
-          (Array.map
-             (fun bucket () -> aggregate_fragment input_schema attrs aggs bucket)
-             buckets)
+      let fragments =
+        match attrs with
+        | [] -> slices parts rows
+        | _ :: _ -> partition ~parts ~keys:attrs rows
       in
-      note ~rows:(Array.length rows) t0 (busy_of outs);
-      emit outs
-  | Physical.Hash_aggregate ([], aggs, src) ->
-      (* Global aggregate: per-fragment partial states, combined on the
-         coordinating domain, finalized into the single output tuple
-         (one tuple even over the empty input, Definition 3.4). *)
-      let input_schema = Typecheck.infer_db db (Physical.to_logical src) in
-      let fresh_states () =
-        Array.of_list
-          (List.map
-             (fun (kind, p) ->
-               initial_state kind (Schema.domain input_schema p))
-             aggs)
+      let grouped fragment =
+        let groups = TH.create 64 in
+        group_rows g groups fragment;
+        groups
       in
-      let positions = Array.of_list (List.map snd aggs) in
-      let rows = concat_chunks (exec ~hooks ~size db src) in
-      let t0 = Trace.now_us () in
-      let partial slice =
-        let states = fresh_states () in
-        Array.iter
-          (fun (tuple, n) ->
-            Array.iteri
-              (fun i state ->
-                states.(i) <-
-                  update_state state (Tuple.attr tuple positions.(i)) n)
-              states)
-          slice;
-        states
+      let on_pool ~out_rows finish =
+        on_pool ~name:"agg-worker" ~t0 ~rows:(Array.length rows) ~out_rows
+          (Array.map (fun fragment () -> finish (grouped fragment)) fragments)
       in
-      let pool = Pool.global () in
-      let timed =
-        Pool.map_array ~chunk:1 pool
-          (fun slice ->
-            let f0 = Trace.now_us () in
-            let states = partial slice in
-            (states, Trace.now_us () -. f0))
-          (slices parts rows)
-      in
-      hooks.observe plan "parts" parts;
-      let busy = Array.fold_left (fun a (_, d) -> a +. d) 0.0 timed /. 1000.0 in
-      note ~rows:(Array.length rows) t0 busy;
-      let states =
-        Array.fold_left
-          (fun acc (s, _) ->
-            match acc with
-            | None -> Some s
-            | Some acc -> Some (Array.map2 combine_state acc s))
-          None timed
-        |> Option.value ~default:(fresh_states ())
-      in
-      let values = Array.to_list (Array.map finalize_state states) in
-      hooks.around child (fun () -> Seq.return [| (Tuple.of_list values, 1) |])
+      if attrs = [] then begin
+        (* Global aggregate: per-slice partial accumulators, merged on
+           the coordinating domain and finished into the single output
+           tuple. *)
+        let groups = TH.create 1 in
+        Array.iter (merge_groups groups) (on_pool ~out_rows:TH.length Fun.id);
+        emit [| Array.of_seq (finish_groups g groups) |]
+      end
+      else
+        (* Groups never span buckets partitioned on every grouping
+           attribute, so each fragment finishes its own groups. *)
+        emit
+          (on_pool ~out_rows:Array.length (fun groups ->
+               Array.of_seq (finish_groups g groups)))
   | Physical.Filter _ | Physical.Project_op _ ->
       let src, f = pipeline_stages child in
       let rows = concat_chunks (exec ~hooks ~size db src) in
       let t0 = Trace.now_us () in
-      let outs =
-        on_pool ~name:"scan-worker"
-          (Array.map
-             (fun slice () ->
-               let out = ref [] in
-               Array.iter
-                 (fun tn ->
-                   match f tn with
-                   | Some r -> out := r :: !out
-                   | None -> ())
-                 slice;
-               Array.of_list (List.rev !out))
-             (slices parts rows))
-      in
-      note ~rows:(Array.length rows) t0 (busy_of outs);
-      emit outs
+      emit
+        (on_pool ~name:"scan-worker" ~t0 ~rows:(Array.length rows)
+           ~out_rows:Array.length
+           (Array.map
+              (fun slice () ->
+                let out = Vec.create 64 in
+                Array.iter (fun tn -> Option.iter (Vec.push out) (f tn)) slice;
+                Vec.flush out)
+              (slices parts rows)))
   | child ->
       (* The planner only wraps the shapes above; anything else is
          executed sequentially — Exchange is then a no-op. *)
       exec ~hooks ~size db child
-
-and exec_aggregate ~hooks ~size db plan attrs aggs t =
-  let input_schema =
-    Typecheck.infer_db db (Physical.to_logical t)
-  in
-  let fresh_states () =
-    Array.of_list
-      (List.map
-         (fun (kind, p) -> initial_state kind (Schema.domain input_schema p))
-         aggs)
-  in
-  let positions = Array.of_list (List.map snd aggs) in
-  let groups = TH.create 64 in
-  Seq.iter
-    (Array.iter (fun (tuple, n) ->
-         let key = Tuple.project attrs tuple in
-         let states =
-           match TH.find_opt groups key with
-           | Some states -> states
-           | None ->
-               let states = fresh_states () in
-               TH.add groups key states;
-               states
-         in
-         Array.iteri
-           (fun i state ->
-             states.(i) <- update_state state (Tuple.attr tuple positions.(i)) n)
-           states))
-    (exec ~hooks ~size db t);
-  (* Definition 3.4: with an empty grouping list the result is one tuple
-     even over the empty input. *)
-  if attrs = [] && TH.length groups = 0 then
-    TH.add groups Tuple.unit (fresh_states ());
-  hooks.observe plan "groups" (TH.length groups);
-  let finalize (key, states) =
-    let values = Array.to_list (Array.map finalize_state states) in
-    (Tuple.concat key (Tuple.of_list values), 1)
-  in
-  chunks_of_seq size (Seq.map finalize (TH.to_seq groups))
 
 let materialize db plan chunks =
   let schema = Typecheck.infer_db db (Physical.to_logical plan) in

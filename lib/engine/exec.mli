@@ -66,6 +66,29 @@ val cells_moved : Database.t -> Physical.t -> int
     Example 3.2's early projection reduces — narrower intermediates —
     and what the intermediate-size experiment (E5) reports. *)
 
+(** {1 Partitioning}
+
+    The partition kernel every [Exchange] fragments its input with. *)
+
+val partition :
+  parts:int ->
+  keys:int list ->
+  (Tuple.t * int) array ->
+  (Tuple.t * int) array array
+(** [partition ~parts ~keys rows] hash-partitions counted rows into
+    [parts] buckets on the listed attributes (1-based).  A row's bucket
+    combines the {!Value.hash} of each key attribute, so equal key
+    values always share a bucket, and two inputs partitioned on
+    equal-length key lists are co-partitioned wherever their key values
+    agree.  Every row lands in exactly one bucket, in input order.
+    @raise Invalid_argument if [parts <= 0] or a key is out of range. *)
+
+val work_balance : (Tuple.t * int) array array -> float
+(** The work-balance bound of a fragmentation: total rows over the
+    largest bucket's rows (1.0 when every bucket is empty).  It is the
+    speedup the fragments allow on enough cores — [parts] when
+    balanced, 1.0 when one hot key owns every row. *)
+
 (** {1 Instrumented execution — EXPLAIN ANALYZE}
 
     Every physical operator records what it actually did: counted-tuple

@@ -306,7 +306,7 @@ let available_cores () =
    fragment count (one core ⇒ no Exchange at all — fragments would just
    queue behind each other plus pay partition/merge); the cost model
    turns the threshold into a per-fragment floor ({!Cost.exchange_floor});
-   and measured Exchange outcomes ({!Mxra_ext.Parallel.Feedback}) raise
+   and measured Exchange outcomes ({!Feedback}) raise
    or lower that floor as the process learns what actually pays here.
    An explicit [threshold] disables the feedback term so forced-parallel
    tests stay deterministic. *)
@@ -320,7 +320,7 @@ let parallelize ~stats ~schemas ~jobs ?cores ?threshold plan =
     let feedback_rows =
       match threshold with
       | Some _ -> None
-      | None -> Mxra_ext.Parallel.Feedback.min_profitable_rows ()
+      | None -> Feedback.min_profitable_rows ()
     in
     let threshold =
       Option.value ~default:default_parallel_threshold threshold

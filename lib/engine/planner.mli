@@ -60,7 +60,7 @@ val parallelize :
     defaulting to {!available_cores} — on one core the plan is returned
     unchanged, parallelizing there is a planner bug — and, when no
     explicit [threshold] is given, the floor folds in the measured
-    break-even from {!Mxra_ext.Parallel.Feedback}.  Passing [threshold]
+    break-even from {!Feedback}.  Passing [threshold]
     (tests pass 0 to force Exchange everywhere) disables the feedback
     term. *)
 

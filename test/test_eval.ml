@@ -278,6 +278,84 @@ let test_float_fold_canonicalisation () =
            (Aggregate.compute_for Domain.DFloat kind merged)))
     Aggregate.all_extended
 
+(* The accumulator law every Γ execution path relies on: fold any split
+   of a counted column into separate states, merge them, and the
+   finished value is exactly the reference [compute_for] of the whole
+   column — bit for bit on floats, and with the same partiality. *)
+let acc_split_merge_law =
+  let fold kind domain column =
+    List.fold_left
+      (fun acc (v, n) -> Aggregate.Acc.step acc v n)
+      (Aggregate.Acc.init kind domain)
+      column
+  in
+  let outcome f = match f () with v -> Ok v | exception e -> Error e in
+  let entries = QCheck.(small_list (pair (int_range 0 40) (int_range 1 4))) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"Acc: split, merge, finish = compute_for" ~count:300
+       QCheck.(triple bool entries small_nat)
+       (fun (floats, entries, cut) ->
+         let domain, value =
+           if floats then
+             (Domain.DFloat, fun x -> Value.Float (float_of_int x /. 7.0))
+           else (Domain.DInt, fun x -> Value.Int x)
+         in
+         let column = List.map (fun (x, n) -> (value x, n)) entries in
+         let cut = cut mod (List.length column + 1) in
+         let front = List.filteri (fun i _ -> i < cut) column in
+         let back = List.filteri (fun i _ -> i >= cut) column in
+         List.for_all
+           (fun kind ->
+             let merged () =
+               Aggregate.Acc.finish
+                 (Aggregate.Acc.merge (fold kind domain front)
+                    (fold kind domain back))
+             in
+             let whole () = Aggregate.compute_for domain kind column in
+             match (outcome merged, outcome whole) with
+             | Ok a, Ok b -> Value.equal a b
+             | Error a, Error b -> a = b
+             | Ok _, Error _ | Error _, Ok _ -> false)
+           Aggregate.all_extended))
+
+let test_acc_edges () =
+  let finish_empty kind =
+    Aggregate.Acc.finish (Aggregate.Acc.init kind Domain.DInt)
+  in
+  Alcotest.(check bool) "empty CNT is 0" true
+    (Value.equal (finish_empty Aggregate.Cnt) (Value.Int 0));
+  Alcotest.(check bool) "empty int SUM is 0" true
+    (Value.equal (finish_empty Aggregate.Sum) (Value.Int 0));
+  Alcotest.(check bool) "empty float SUM is 0." true
+    (Value.equal
+       (Aggregate.Acc.finish (Aggregate.Acc.init Aggregate.Sum Domain.DFloat))
+       (Value.Float 0.0));
+  (* STDDEV is the square root of VAR, so it reports VAR's partiality,
+     as [compute_for] does. *)
+  List.iter
+    (fun (kind, undefined) ->
+      Alcotest.check_raises
+        (Aggregate.name kind ^ " undefined on empty")
+        (Aggregate.Undefined undefined)
+        (fun () -> ignore (finish_empty kind)))
+    Aggregate.[ (Avg, Avg); (Min, Min); (Max, Max); (Var, Var); (Stddev, Var) ];
+  Alcotest.(check bool) "merging different aggregates is refused" true
+    (match
+       Aggregate.Acc.merge
+         (Aggregate.Acc.init Aggregate.Cnt Domain.DInt)
+         (Aggregate.Acc.init Aggregate.Min Domain.DInt)
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "integer SUM refuses a string" true
+    (match
+       Aggregate.Acc.step
+         (Aggregate.Acc.init Aggregate.Sum Domain.DInt)
+         (Value.Str "x") 1
+     with
+    | _ -> false
+    | exception Scalar.Eval_error _ -> true)
+
 let test_aggregate_names () =
   List.iter
     (fun kind ->
@@ -453,6 +531,8 @@ let suite =
       Alcotest.test_case "VAR and STDDEV extensions" `Quick test_var_stddev;
       Alcotest.test_case "float fold canonicalisation" `Quick
         test_float_fold_canonicalisation;
+      acc_split_merge_law;
+      Alcotest.test_case "accumulator edge cases" `Quick test_acc_edges;
       Alcotest.test_case "aggregate names" `Quick test_aggregate_names;
       Alcotest.test_case "scalar evaluation" `Quick test_scalar_eval;
       Alcotest.test_case "division by zero" `Quick test_scalar_division_by_zero;

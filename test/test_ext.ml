@@ -1,6 +1,6 @@
 (* Extension tests: transitive closure (naive vs semi-naive agreement,
-   cycles, reachability) and the simulated parallel operators'
-   partition/merge laws. *)
+   cycles, reachability) and the partition kernel Exchange fragments
+   its inputs with. *)
 
 open Mxra_relational
 open Mxra_core
@@ -68,74 +68,103 @@ let test_closure_expr () =
   let r = Closure.closure_expr (Expr.rel "g") db in
   Alcotest.(check int) "closure of expression" 3 (Relation.cardinal r)
 
-(* --- parallel operators ----------------------------------------------------- *)
+(* --- the partition kernel ------------------------------------------------ *)
+
+module Exec = Mxra_engine.Exec
 
 let rng = W.Rng.make 99
+let rows_of r = Array.of_seq (Relation.Bag.to_counted_seq (Relation.bag r))
 
-let test_partition_merge_identity () =
+let sorted rows =
+  List.sort
+    (fun (t1, n1) (t2, n2) ->
+      match Tuple.compare t1 t2 with 0 -> Int.compare n1 n2 | c -> c)
+    (Array.to_list rows)
+
+(* The bucket index of every row, in bucket order. *)
+let bucket_of buckets =
+  List.concat
+    (Array.to_list
+       (Array.mapi
+          (fun i b -> List.map (fun (t, _) -> (t, i)) (Array.to_list b))
+          buckets))
+
+let test_partition_reconstruction () =
   for parts = 1 to 5 do
-    let r = W.Synth.two_column_int ~rng ~size:60 ~distinct:10 in
-    let by_key = Parallel.partition ~parts ~keys:[ 1 ] r in
-    Alcotest.(check bool)
-      (Printf.sprintf "hash partition/merge identity (p=%d)" parts)
-      true
-      (Relation.equal r (Parallel.merge by_key));
-    let rr = Parallel.partition_round_robin ~parts r in
-    Alcotest.(check bool) "round-robin partition/merge identity" true
-      (Relation.equal r (Parallel.merge rr))
-  done
+    let rows = rows_of (W.Synth.two_column_int ~rng ~size:60 ~distinct:10) in
+    List.iter
+      (fun keys ->
+        let buckets = Exec.partition ~parts ~keys rows in
+        Alcotest.(check int) "one bucket per part" parts (Array.length buckets);
+        Alcotest.(check bool)
+          (Printf.sprintf "buckets are a permutation of the input (p=%d)" parts)
+          true
+          (sorted (Array.concat (Array.to_list buckets)) = sorted rows))
+      [ [ 1 ]; [ 2; 1 ] ]
+  done;
+  Alcotest.check_raises "no parts"
+    (Invalid_argument "Exec.partition: parts <= 0")
+    (fun () -> ignore (Exec.partition ~parts:0 ~keys:[ 1 ] [||]))
 
-let test_par_select () =
-  let r = W.Synth.two_column_int ~rng ~size:80 ~distinct:9 in
-  let p = Pred.lt (Scalar.attr 1) (Scalar.int 4) in
-  let report = Parallel.par_select ~parts:4 p r in
-  Alcotest.(check bool) "σ distributes over partitioning" true
-    (Relation.equal (Eval.select p r) report.Parallel.result);
-  Alcotest.(check int) "work accounted" (Relation.cardinal r)
-    (Array.fold_left ( + ) 0 report.Parallel.fragment_work);
-  Alcotest.(check bool) "speedup within bounds" true
-    (report.Parallel.speedup >= 1.0 && report.Parallel.speedup <= 4.0)
+let test_partition_locality () =
+  let rows = rows_of (W.Synth.two_column_int ~rng ~size:200 ~distinct:12) in
+  List.iter
+    (fun keys ->
+      let seen = Hashtbl.create 16 in
+      List.iter
+        (fun (t, i) ->
+          let key = Tuple.project keys t in
+          match Hashtbl.find_opt seen key with
+          | Some j ->
+              Alcotest.(check int) "equal keys share a bucket" j i
+          | None -> Hashtbl.add seen key i)
+        (bucket_of (Exec.partition ~parts:4 ~keys rows)))
+    [ [ 1 ]; [ 2 ]; [ 1; 2 ] ]
 
-let test_par_project () =
-  let r = W.Synth.two_column_int ~rng ~size:50 ~distinct:7 in
-  let exprs = [ Scalar.add (Scalar.attr 1) (Scalar.attr 2) ] in
-  let report = Parallel.par_project ~parts:3 exprs r in
-  Alcotest.(check bool) "π distributes over partitioning" true
-    (Relation.equal (Eval.project exprs r) report.Parallel.result)
+(* Co-partitioning: rows of two differently shaped inputs whose key
+   values agree get the same bucket index, whatever the key positions. *)
+let partition_alignment =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"equal key values, equal bucket across inputs"
+       ~count:200
+       QCheck.(pair (int_range 1 8) (small_list (pair small_int small_int)))
+       (fun (parts, pairs) ->
+         let row n vs = (Tuple.of_list (List.map (fun i -> Value.Int i) vs), n) in
+         let left =
+           Array.of_list (List.map (fun (k, v) -> row 1 [ k; v ]) pairs)
+         in
+         let right =
+           Array.of_list (List.map (fun (k, v) -> row 2 [ 0; v; k ]) pairs)
+         in
+         let lb = bucket_of (Exec.partition ~parts ~keys:[ 1; 2 ] left) in
+         let rb = bucket_of (Exec.partition ~parts ~keys:[ 3; 2 ] right) in
+         List.for_all
+           (fun (lt, i) ->
+             List.for_all
+               (fun (rt, j) ->
+                 i = j
+                 || not
+                      (Tuple.equal (Tuple.project [ 1; 2 ] lt)
+                         (Tuple.project [ 3; 2 ] rt)))
+               rb)
+           lb))
 
-let test_par_join () =
-  let left, right = W.Synth.join_pair ~rng ~left:60 ~right:40 ~key_range:8 in
-  let report =
-    Parallel.par_join ~parts:4 ~left_keys:[ 1 ] ~right_keys:[ 1 ] left right
-  in
-  let cond = Pred.eq (Scalar.attr 1) (Scalar.attr 3) in
-  Alcotest.(check bool) "co-partitioned join = sequential join" true
-    (Relation.equal (Eval.join cond left right) report.Parallel.result)
-
-let test_par_group_by () =
-  let r = W.Synth.two_column_int ~rng ~size:70 ~distinct:6 in
-  let attrs = [ 1 ] and aggs = [ (Aggregate.Sum, 2); (Aggregate.Cnt, 1) ] in
-  let report = Parallel.par_group_by ~parts:4 ~attrs ~aggs r in
-  Alcotest.(check bool) "Γ distributes over key partitioning" true
-    (Relation.equal (Eval.group_by attrs aggs r) report.Parallel.result);
-  (* Empty attrs is Definition 3.4's global aggregate, computed as
-     per-fragment partials combined associatively. *)
-  let global = Parallel.par_group_by ~parts:2 ~attrs:[] ~aggs r in
-  Alcotest.(check bool) "global aggregate = partial-then-combine" true
-    (Relation.equal (Eval.group_by [] aggs r) global.Parallel.result)
-
-let test_skew_hurts_speedup () =
-  (* A single hot key concentrates all work in one fragment: speedup
-     collapses toward 1.  Balanced keys approach p. *)
+let test_partition_skew () =
+  (* A single hot key puts every row in one bucket, so the fragments
+     allow no speedup at all; balanced keys approach the part count. *)
   let skewed =
-    Relation.of_counted_list (Schema.of_list [ ("k", Domain.DInt); ("v", Domain.DInt) ])
-      (List.init 40 (fun i -> (Tuple.of_list [ Value.Int 0; Value.Int i ], 1)))
+    Array.init 40 (fun i -> (Tuple.of_list [ Value.Int 0; Value.Int i ], 1))
   in
-  let report = Parallel.par_group_by ~parts:4 ~attrs:[ 1 ] ~aggs:[ (Aggregate.Cnt, 1) ] skewed in
-  Alcotest.(check (float 1e-9)) "hot key kills parallelism" 1.0 report.Parallel.speedup;
-  let balanced = W.Synth.two_column_int ~rng ~size:4000 ~distinct:64 in
-  let report = Parallel.par_group_by ~parts:4 ~attrs:[ 1 ] ~aggs:[ (Aggregate.Cnt, 1) ] balanced in
-  Alcotest.(check bool) "balanced keys parallelise" true (report.Parallel.speedup > 2.0)
+  let buckets = Exec.partition ~parts:4 ~keys:[ 1 ] skewed in
+  Alcotest.(check int) "one bucket holds every row" 40
+    (Array.fold_left (fun acc b -> max acc (Array.length b)) 0 buckets);
+  Alcotest.(check (float 1e-9)) "hot key kills parallelism" 1.0
+    (Exec.work_balance buckets);
+  let balanced =
+    rows_of (W.Synth.two_column_int ~rng ~size:4000 ~distinct:64)
+  in
+  Alcotest.(check bool) "balanced keys parallelise" true
+    (Exec.work_balance (Exec.partition ~parts:4 ~keys:[ 1 ] balanced) > 2.0)
 
 let suite =
   ( "ext",
@@ -150,10 +179,10 @@ let suite =
       Alcotest.test_case "non-binary inputs rejected" `Quick
         test_closure_rejects_non_binary;
       Alcotest.test_case "closure of an expression" `Quick test_closure_expr;
-      Alcotest.test_case "partition/merge identity" `Quick test_partition_merge_identity;
-      Alcotest.test_case "parallel selection" `Quick test_par_select;
-      Alcotest.test_case "parallel projection" `Quick test_par_project;
-      Alcotest.test_case "parallel join" `Quick test_par_join;
-      Alcotest.test_case "parallel grouping" `Quick test_par_group_by;
-      Alcotest.test_case "skew and speedup" `Quick test_skew_hurts_speedup;
+      Alcotest.test_case "partition reconstruction" `Quick
+        test_partition_reconstruction;
+      Alcotest.test_case "partition locality" `Quick test_partition_locality;
+      partition_alignment;
+      Alcotest.test_case "partition skew and work balance" `Quick
+        test_partition_skew;
     ] )

@@ -1,15 +1,13 @@
-(* Property tests for real-multicore execution: every pooled parallel
-   operator — and every Exchange-wrapped physical plan — computes the
-   same bag as the sequential reference evaluator, for random inputs
-   and every fragment count in 1..8.  These are the distribution laws
-   of Theorem 3.2 exercised on actual worker domains rather than on a
-   simulated machine. *)
+(* Property tests for real-multicore execution: every Exchange-wrapped
+   physical plan computes the same bag as the sequential reference
+   evaluator, for random inputs and every fragment count in 1..8.
+   These are the distribution laws of Theorem 3.2 exercised on actual
+   worker domains rather than on a simulated machine. *)
 
 open Mxra_relational
 open Mxra_core
 module Engine = Mxra_engine
 module W = Mxra_workload
-module Parallel = Mxra_ext.Parallel
 module Pool = Mxra_ext.Pool
 
 (* One shared pool for the whole suite — a per-iteration pool would
@@ -18,9 +16,6 @@ let () = Pool.set_default_size 4
 
 let seed_and_parts = QCheck.(pair small_nat (int_range 1 8))
 
-(* Integer columns keep the partial-aggregate arithmetic exact (sums of
-   small ints are exact in float far past these sizes), so strict
-   [Relation.equal] is the right check even for SUM and AVG. *)
 let random_bag seed =
   let rng = W.Rng.make (seed + 1) in
   W.Synth.two_column_int ~rng
@@ -30,28 +25,52 @@ let random_bag seed =
 let prop name f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:100 seed_and_parts f)
 
+(* One law of Theorem 3.2 / Definition 3.4 per property: the operator
+   over the whole bag equals the Exchange plan that runs it as [parts]
+   fragments on the domain pool (threshold 0, [~cores:parts] so the
+   plan shape is host-independent). With more than one fragment the
+   plan must really contain an Exchange, or the property would only
+   re-check the sequential operator. *)
+let pooled_matches expected rels e parts =
+  let db = Database.of_relations rels in
+  let plan =
+    Engine.Planner.parallelize
+      ~stats:(Engine.Stats.env_of_database db)
+      ~schemas:(Typecheck.env_of_database db)
+      ~jobs:parts ~cores:parts ~threshold:0
+      (Engine.Planner.plan db e)
+  in
+  (parts = 1 || Engine.Physical.exchange_count plan > 0)
+  && Relation.equal expected (Engine.Exec.run db plan)
+
 let par_select_matches =
   prop "pooled σ = Eval.select" (fun (seed, parts) ->
       let r = random_bag seed in
       let p = Pred.lt (Scalar.attr 1) (Scalar.int 6) in
-      Relation.equal (Eval.select p r)
-        (Parallel.par_select ~parts p r).Parallel.result)
+      pooled_matches (Eval.select p r)
+        [ ("r", r) ]
+        (Expr.select p (Expr.rel "r"))
+        parts)
 
 let par_project_matches =
   prop "pooled π = Eval.project" (fun (seed, parts) ->
       let r = random_bag seed in
       let exprs = [ Scalar.add (Scalar.attr 1) (Scalar.attr 2); Scalar.attr 1 ] in
-      Relation.equal (Eval.project exprs r)
-        (Parallel.par_project ~parts exprs r).Parallel.result)
+      pooled_matches (Eval.project exprs r)
+        [ ("r", r) ]
+        (Expr.project exprs (Expr.rel "r"))
+        parts)
 
 let par_join_matches =
   prop "pooled co-partitioned ⋈ = Eval.join" (fun (seed, parts) ->
       let rng = W.Rng.make (seed + 1) in
       let left, right = W.Synth.join_pair ~rng ~left:50 ~right:30 ~key_range:8 in
       let cond = Pred.eq (Scalar.attr 1) (Scalar.attr 3) in
-      Relation.equal (Eval.join cond left right)
-        (Parallel.par_join ~parts ~left_keys:[ 1 ] ~right_keys:[ 1 ] left right)
-          .Parallel.result)
+      pooled_matches
+        (Eval.join cond left right)
+        [ ("l", left); ("r", right) ]
+        (Expr.join cond (Expr.rel "l") (Expr.rel "r"))
+        parts)
 
 let par_join_multi_key_matches =
   prop "pooled ⋈ on two key attributes = Eval.join" (fun (seed, parts) ->
@@ -61,23 +80,30 @@ let par_join_multi_key_matches =
           (Pred.eq (Scalar.attr 1) (Scalar.attr 3),
            Pred.eq (Scalar.attr 2) (Scalar.attr 4))
       in
-      Relation.equal (Eval.join cond r r)
-        (Parallel.par_join ~parts ~left_keys:[ 1; 2 ] ~right_keys:[ 1; 2 ] r r)
-          .Parallel.result)
+      pooled_matches (Eval.join cond r r)
+        [ ("r", r) ]
+        (Expr.join cond (Expr.rel "r") (Expr.rel "r"))
+        parts)
 
 let par_group_by_matches =
   prop "pooled Γ on keys = Eval.group_by" (fun (seed, parts) ->
       let r = random_bag seed in
       let attrs = [ 1 ] and aggs = [ (Aggregate.Sum, 2); (Aggregate.Cnt, 1) ] in
-      Relation.equal (Eval.group_by attrs aggs r)
-        (Parallel.par_group_by ~parts ~attrs ~aggs r).Parallel.result)
+      pooled_matches
+        (Eval.group_by attrs aggs r)
+        [ ("r", r) ]
+        (Expr.group_by attrs aggs (Expr.rel "r"))
+        parts)
 
 let par_group_by_multi_attr_matches =
   prop "pooled Γ on two attributes = Eval.group_by" (fun (seed, parts) ->
       let r = random_bag seed in
       let attrs = [ 1; 2 ] and aggs = [ (Aggregate.Cnt, 1) ] in
-      Relation.equal (Eval.group_by attrs aggs r)
-        (Parallel.par_group_by ~parts ~attrs ~aggs r).Parallel.result)
+      pooled_matches
+        (Eval.group_by attrs aggs r)
+        [ ("r", r) ]
+        (Expr.group_by attrs aggs (Expr.rel "r"))
+        parts)
 
 let par_global_aggregate_matches =
   prop "pooled global aggregate = Eval.group_by []" (fun (seed, parts) ->
@@ -91,8 +117,11 @@ let par_global_aggregate_matches =
           (Aggregate.Max, 2);
         ]
       in
-      Relation.equal (Eval.group_by [] aggs r)
-        (Parallel.par_group_by ~parts ~attrs:[] ~aggs r).Parallel.result)
+      pooled_matches
+        (Eval.group_by [] aggs r)
+        [ ("r", r) ]
+        (Expr.group_by [] aggs (Expr.rel "r"))
+        parts)
 
 (* The engine path: plan a query, force Exchange above every eligible
    operator (threshold 0), and compare the executed bag against the
@@ -145,11 +174,30 @@ let exchange_plans_match =
 let chunk_sizes = [ 1; 7; 64; 1024 ]
 let jobs_list = [ 1; 2; 4 ]
 
+(* Float values that are not dyadic, so a float SUM, AVG or VAR depends
+   on the order it adds them in: strict [Relation.equal] against Eval
+   holds only because every path, Exchange merges included, finishes
+   the buffered column through the same canonical computation. *)
+let float_bag seed =
+  let rng = W.Rng.make (seed + 7) in
+  let schema = Schema.of_list [ ("k", Domain.DInt); ("x", Domain.DFloat) ] in
+  Relation.of_list schema
+    (List.init
+       (30 + (seed mod 40))
+       (fun _ ->
+         Tuple.of_list
+           [
+             Value.Int (W.Rng.int rng 5);
+             Value.Float (float_of_int (W.Rng.int rng 50) /. 7.0);
+           ]))
+
 let diff_db seed =
   let rng = W.Rng.make (seed + 1) in
   let a = random_bag seed in
   let b, c = W.Synth.join_pair ~rng ~left:30 ~right:20 ~key_range:6 in
-  (a, Database.of_relations [ ("a", a); ("b", b); ("c", c) ])
+  ( a,
+    Database.of_relations
+      [ ("a", a); ("b", b); ("c", c); ("f", float_bag seed) ] )
 
 (* One expression per physical operator (the planner maps the join to
    Hash_join or Merge_join depending on [join_algorithm], the non-equi
@@ -176,6 +224,28 @@ let operator_exprs a =
       [ (Aggregate.Cnt, 1); (Aggregate.Sum, 2); (Aggregate.Avg, 2) ]
       (Expr.rel "a");
   ]
+
+(* Shapes whose Exchange partitions on more than one key or merges
+   accumulators across fragments: a two-key equi-join, a two-attribute
+   Γ, grouped and global Γ over every accumulator kind, and float
+   SUM/AVG/VAR/STDDEV over the non-dyadic relation [f]. *)
+let merge_exprs =
+  let spread = Aggregate.[ (Min, 2); (Max, 2); (Var, 2); (Stddev, 2) ] in
+  let floats = Aggregate.[ (Sum, 2); (Avg, 2); (Var, 2); (Stddev, 2) ] in
+  [
+    Expr.join
+      (Pred.And
+         ( Pred.eq (Scalar.attr 1) (Scalar.attr 3),
+           Pred.eq (Scalar.attr 2) (Scalar.attr 4) ))
+      (Expr.rel "a") (Expr.rel "a");
+    Expr.group_by [ 1; 2 ] [ (Aggregate.Cnt, 1) ] (Expr.rel "a");
+    Expr.group_by [ 1 ] spread (Expr.rel "a");
+    Expr.group_by [] spread (Expr.rel "a");
+    Expr.group_by [ 1 ] floats (Expr.rel "f");
+    Expr.group_by [] floats (Expr.rel "f");
+  ]
+
+let differential_exprs a = operator_exprs a @ merge_exprs
 
 let all_plans ~jobs db e =
   List.map
@@ -208,7 +278,23 @@ let test_operator_coverage () =
       "ConstScan"; "SeqScan"; "Filter"; "Project"; "HashJoin"; "MergeJoin";
       "NestedLoop"; "CrossProduct"; "UnionAll"; "HashDiff"; "HashIntersect";
       "HashDistinct"; "HashAggregate"; "Exchange";
-    ]
+    ];
+  (* Each merge shape really runs under an Exchange, and the two-key
+     join really hashes on both keys. *)
+  let rec two_key_hash_join = function
+    | Engine.Physical.Hash_join { left_keys = [ _; _ ]; _ } -> true
+    | p -> List.exists two_key_hash_join (Engine.Physical.children p)
+  in
+  List.iteri
+    (fun i e ->
+      let plan = List.hd (all_plans ~jobs:4 db e) in
+      Alcotest.(check bool)
+        ("Exchange above " ^ Expr.to_string e)
+        true
+        (Engine.Physical.exchange_count plan > 0);
+      if i = 0 then
+        Alcotest.(check bool) "two-key hash join" true (two_key_hash_join plan))
+    merge_exprs
 
 let chunked_operators_match_eval =
   QCheck_alcotest.to_alcotest
@@ -230,7 +316,7 @@ let chunked_operators_match_eval =
                        chunk_sizes)
                    (all_plans ~jobs db e))
                jobs_list)
-           (operator_exprs a)))
+           (differential_exprs a)))
 
 (* Metamorphic: beyond matching Eval, every (chunk size, jobs) pair must
    agree with every other — on random well-typed expressions, so shapes
@@ -294,6 +380,9 @@ let test_chunk_boundary_empty () =
       ("empty ⋈ non-empty", Expr.join (Pred.eq (Scalar.attr 1) (Scalar.attr 3)) (Expr.rel "a") (Expr.rel "c"));
       ("non-empty − all", Expr.diff (Expr.rel "c") (Expr.rel "c"));
       ("Γ keys over empty", Expr.group_by [ 1 ] [ (Aggregate.Cnt, 1) ] (Expr.rel "a"));
+      ( "global Γ over empty",
+        Expr.group_by [] [ (Aggregate.Cnt, 1); (Aggregate.Sum, 2) ]
+          (Expr.rel "a") );
     ]
 
 let test_chunk_boundary_exact_multiple () =
@@ -352,7 +441,7 @@ let test_chunk_boundary_duplicates () =
 
 let test_one_core_never_exchanges () =
   let a, db = diff_db 3 in
-  let exprs = operator_exprs a in
+  let exprs = differential_exprs a in
   (* jobs=4 on a 1-core host: every plan must be purely sequential, even
      with the profitability floor forced to zero. *)
   List.iter
@@ -382,34 +471,86 @@ let test_one_core_never_exchanges () =
        (Engine.Planner.parallelize ~stats ~schemas ~jobs:8 ~cores:1
           ~threshold:0 seq))
 
+(* Every Exchange shape (σ/π pipeline, join, grouped and global Γ)
+   dispatches through the one pool path: one worker span per fragment,
+   and one feedback observation per Exchange. *)
+let exchange_shapes =
+  let eq13 = Pred.eq (Scalar.attr 1) (Scalar.attr 3) in
+  [
+    ( "scan-worker",
+      Expr.select (Pred.lt (Scalar.attr 2) (Scalar.int 6)) (Expr.rel "a") );
+    ("join-worker", Expr.join eq13 (Expr.rel "b") (Expr.rel "c"));
+    ("agg-worker", Expr.group_by [ 1 ] [ (Aggregate.Cnt, 1) ] (Expr.rel "a"));
+    ("agg-worker", Expr.group_by [] [ (Aggregate.Sum, 2) ] (Expr.rel "a"));
+  ]
+
+let forced_exchange db e =
+  Engine.Planner.plan ~join_algorithm:Engine.Planner.Hash ~jobs:4 ~cores:4
+    ~parallel_threshold:0 db e
+
+let test_exchange_worker_spans () =
+  let _, db = diff_db 5 in
+  List.iter
+    (fun (worker, e) ->
+      let spans = ref [] in
+      Mxra_obs.Trace.set_sinks
+        [
+          {
+            Mxra_obs.Trace.null_sink with
+            on_span = (fun sp -> spans := sp.Mxra_obs.Trace.name :: !spans);
+          };
+        ];
+      Fun.protect ~finally:Mxra_obs.Trace.close (fun () ->
+          ignore (Engine.Exec.run db (forced_exchange db e)));
+      Alcotest.(check int)
+        (worker ^ " span per fragment: " ^ Expr.to_string e)
+        4
+        (List.length (List.filter (String.equal worker) !spans)))
+    exchange_shapes
+
+let test_exchange_feeds_back () =
+  let _, db = diff_db 5 in
+  Engine.Feedback.reset ();
+  List.iter
+    (fun (_, e) ->
+      let plan = forced_exchange db e in
+      let before = Engine.Feedback.observations () in
+      ignore (Engine.Exec.run db plan);
+      Alcotest.(check int)
+        ("one observation per Exchange: " ^ Expr.to_string e)
+        (Engine.Physical.exchange_count plan)
+        (Engine.Feedback.observations () - before))
+    exchange_shapes;
+  Engine.Feedback.reset ()
+
 let test_feedback_bar () =
-  Parallel.Feedback.reset ();
+  Engine.Feedback.reset ();
   Alcotest.(check (option int)) "no observations, no bar" None
-    (Parallel.Feedback.min_profitable_rows ());
+    (Engine.Feedback.min_profitable_rows ());
   (* A loss at 1000 rows: only inputs past 2000 are worth trying. *)
-  Parallel.Feedback.note ~rows:1000 ~parts:4 ~gain_ms:(-2.0);
+  Engine.Feedback.note ~rows:1000 ~gain_ms:(-2.0);
   Alcotest.(check (option int)) "loss doubles the bar" (Some 2000)
-    (Parallel.Feedback.min_profitable_rows ());
+    (Engine.Feedback.min_profitable_rows ());
   (* A win at 5000 rows cannot lower the bar below the observed loss
      region's ceiling... *)
-  Parallel.Feedback.note ~rows:5000 ~parts:4 ~gain_ms:1.5;
+  Engine.Feedback.note ~rows:5000 ~gain_ms:1.5;
   Alcotest.(check (option int)) "win above the bar keeps it" (Some 2000)
-    (Parallel.Feedback.min_profitable_rows ());
+    (Engine.Feedback.min_profitable_rows ());
   (* ...but a win at a smaller size pulls it down. *)
-  Parallel.Feedback.note ~rows:800 ~parts:2 ~gain_ms:0.5;
+  Engine.Feedback.note ~rows:800 ~gain_ms:0.5;
   Alcotest.(check (option int)) "smaller win lowers the bar" (Some 800)
-    (Parallel.Feedback.min_profitable_rows ());
+    (Engine.Feedback.min_profitable_rows ());
   Alcotest.(check int) "observations counted" 3
-    (Parallel.Feedback.observations ());
+    (Engine.Feedback.observations ());
   (* Zero-row reports are noise and must be ignored. *)
-  Parallel.Feedback.note ~rows:0 ~parts:2 ~gain_ms:(-1.0);
+  Engine.Feedback.note ~rows:0 ~gain_ms:(-1.0);
   Alcotest.(check (option int)) "zero rows ignored" (Some 800)
-    (Parallel.Feedback.min_profitable_rows ());
-  Parallel.Feedback.reset ();
+    (Engine.Feedback.min_profitable_rows ());
+  Engine.Feedback.reset ();
   Alcotest.(check (option int)) "reset clears the bar" None
-    (Parallel.Feedback.min_profitable_rows ());
+    (Engine.Feedback.min_profitable_rows ());
   Alcotest.(check int) "reset clears the count" 0
-    (Parallel.Feedback.observations ())
+    (Engine.Feedback.observations ())
 
 let suite =
   ( "parallel",
@@ -435,4 +576,8 @@ let suite =
       Alcotest.test_case "adaptive planner: one core, no Exchange" `Quick
         test_one_core_never_exchanges;
       Alcotest.test_case "Exchange feedback bar" `Quick test_feedback_bar;
+      Alcotest.test_case "Exchange worker spans" `Quick
+        test_exchange_worker_spans;
+      Alcotest.test_case "every Exchange feeds back" `Quick
+        test_exchange_feeds_back;
     ] )
