@@ -29,7 +29,7 @@ module Trace = Mxra_obs.Trace
 module Store = Mxra_storage.Store
 module Torture = Mxra_storage.Torture
 module Scheduler = Mxra_concurrency.Scheduler
-module Syscat = Mxra_engine.Syscat
+module Session = Mxra_session.Session
 
 let preload beer gen_beers retail =
   if retail > 0 then
@@ -45,15 +45,10 @@ let preload beer gen_beers retail =
   else if beer then Mxra_workload.Beer.tiny
   else Database.empty
 
-(* Everything a runner needs to know, threaded as one value. *)
-type ctx = {
-  optimize : bool;
-  stats : bool;
+(* What a runner prints; the engine side of a run is its session. *)
+type out = {
+  stats : bool;  (** per-query timing and scheduler statistics *)
   quiet : bool;  (** suppress result tables ([metrics] mode) *)
-  seed : int;  (** scheduler interleaving seed *)
-  isolation : Scheduler.isolation;  (** [--isolation si|2pl] *)
-  jobs : int;  (** domains for parallel plans ([--jobs]) *)
-  store : Store.t option;  (** durability, when [--db] is given *)
   totals : Mxra_engine.Metrics.t option;
       (** merged engine registry ([metrics] mode) *)
 }
@@ -75,205 +70,51 @@ let merge_totals master src =
           Mxra_engine.Metrics.add_ms (Mxra_engine.Metrics.timer master name) ms)
     (Mxra_engine.Metrics.dump src)
 
-let run_query ctx ~lang db e =
-  (* Every query gets a process-unique id, carried as ambient trace
-     context: the query span, every operator span and every Exchange
-     lane span of this statement end up stamped with the same
-     query_id, so one grep correlates the JSONL query log, the Chrome
-     trace and EXPLAIN ANALYZE output. *)
-  let qid = Obs.Qid.mint () in
-  let text = Expr.to_string e in
-  let record ~rows ?tuples ~wall_ms () =
-    Obs.Stmt_stats.record ~lang ~qid ~rows ?tuples ~wall_ms text
-  in
-  (* The activity-registry entry: from here to [finish] the statement
-     is visible in sys.progress, and ASH samples attribute to its qid
-     and fingerprint.  With MXRA_ASH=0 the slot is inert and nothing
-     below pays for it. *)
-  let slot = Obs.Ash.register ~lang ~text ~qid () in
-  Fun.protect ~finally:(fun () -> Obs.Ash.finish slot) @@ fun () ->
-  Trace.with_context [ (Obs.Qid.attr_key, Trace.Str qid) ] @@ fun () ->
-  Trace.with_span "query"
-    ~attrs:[ ("lang", Trace.Str lang); ("text", Trace.Str text) ]
-    (fun () ->
-      (* Queries over sys.* see the catalog snapshot taken here — the
-         in-flight query itself is recorded only after it finishes. *)
-      let db = Syscat.attach_for db e in
-      let e =
-        if ctx.optimize then Mxra_optimizer.Optimizer.optimize_db db e else e
-      in
-      let plan = Mxra_engine.Planner.plan ~jobs:ctx.jobs db e in
-      if Obs.Ash.live slot then begin
-        (* Root-cardinality estimate, so sys.progress can report rows
-           against the planner's expectation. *)
-        (try
-           Obs.Ash.set_estimate slot
-             (Mxra_engine.Cost.estimate_cardinality
-                ~stats:(Mxra_engine.Stats.env_of_database db)
-                ~schemas:(Typecheck.env_of_database db)
-                e)
-         with _ -> ())
-      end;
-      Obs.Ash.with_slot slot @@ fun () ->
-      if ctx.stats || Option.is_some ctx.totals || Trace.enabled () then begin
-        (* One instrumented run yields the result, the timing and the
-           tuple traffic — no second execution to count what already
-           happened.  The same run feeds the per-operator trace spans. *)
-        let a = Mxra_engine.Exec.run_instrumented db plan in
-        Trace.add_attr "rows"
-          (Trace.Int (Relation.cardinal a.Mxra_engine.Exec.result));
-        record
-          ~rows:(Relation.cardinal a.Mxra_engine.Exec.result)
-          ~tuples:
-            (Mxra_engine.Metrics.count
-               (Mxra_engine.Metrics.counter a.Mxra_engine.Exec.totals
-                  "tuples-moved"))
-          ~wall_ms:a.Mxra_engine.Exec.total_ms ();
-        Option.iter (fun m -> merge_totals m a.Mxra_engine.Exec.totals)
-          ctx.totals;
-        if not ctx.quiet then
-          Format.printf "%a@." Relation.pp_table a.Mxra_engine.Exec.result;
-        if ctx.stats then
-          let moved =
-            Mxra_engine.Metrics.count
-              (Mxra_engine.Metrics.counter a.Mxra_engine.Exec.totals
-                 "tuples-moved")
-          in
-          Format.printf "-- %.3f ms, %d tuples moved@."
-            a.Mxra_engine.Exec.total_ms moved
-      end
-      else begin
-        let t0 = Trace.now_us () in
-        let r = Mxra_engine.Exec.run db plan in
-        record ~rows:(Relation.cardinal r)
-          ~wall_ms:((Trace.now_us () -. t0) /. 1000.0)
-          ();
-        Trace.add_attr "rows" (Trace.Int (Relation.cardinal r));
-        if not ctx.quiet then Format.printf "%a@." Relation.pp_table r
-      end)
+(* Queries run instrumented when their numbers are printed or merged. *)
+let instrument out = out.stats || Option.is_some out.totals
 
-let exec_statement ctx db stmt =
-  match stmt with
-  | Statement.Query e ->
-      run_query ctx ~lang:"xra" db e;
-      db
-  | Statement.Insert (name, _) | Statement.Delete (name, _)
-  | Statement.Update (name, _, _) | Statement.Assign (name, _)
-    when Syscat.is_sys_name name ->
-      (* The catalog is read-only: writing a sys.* name is refused
-         before any transaction machinery sees it. *)
-      raise (Syscat.Reserved name)
-  | Statement.Insert _ | Statement.Delete _ | Statement.Update _
-  | Statement.Assign _ ->
-      (* Data statements get the same treatment as queries: a minted
-         query_id on a "statement" span (hence the JSONL log), and the
-         same id stamped into the WAL record's begin/commit markers. *)
-      let qid = Obs.Qid.mint () in
-      let slot =
-        Obs.Ash.register ~lang:"xra" ~text:(Statement.to_string stmt) ~qid ()
-      in
-      Fun.protect ~finally:(fun () -> Obs.Ash.finish slot) @@ fun () ->
-      Trace.with_context [ (Obs.Qid.attr_key, Trace.Str qid) ] @@ fun () ->
-      Trace.with_span "statement"
-        ~attrs:[ ("text", Trace.Str (Statement.to_string stmt)) ]
-        (fun () ->
-          let t0 = Trace.now_us () in
-          let txn = Transaction.make [ stmt ] in
-          let outcome =
-            match ctx.store with
-            | Some s -> Store.commit ~qid s txn
-            | None -> Transaction.run db txn
-          in
-          (* Recorded after the commit so the WAL bytes appended under
-             this qid drain straight into the entry. *)
-          Obs.Stmt_stats.record ~qid
-            ~wall_ms:((Trace.now_us () -. t0) /. 1000.0)
-            (Statement.to_string stmt);
+let show out = function
+  | Session.Rows (r, a) ->
+      if not out.quiet then Format.printf "%a@." Relation.pp_table r;
+      Option.iter
+        (fun (a : Mxra_engine.Exec.analysis) ->
+          Option.iter (fun m -> merge_totals m a.totals) out.totals;
+          if out.stats then
+            Format.printf "-- %.3f ms, %d tuples moved@." a.total_ms
+              (Mxra_engine.Metrics.count
+                 (Mxra_engine.Metrics.counter a.totals "tuples-moved")))
+        a
+  | Session.Aborted reason -> Format.eprintf "aborted: %s@." reason
+  | Session.Batch r ->
+      (* Outputs per transaction in input order, empty for aborted
+         ones. *)
+      List.iter2
+        (fun outcome outputs ->
           match outcome with
-          | Transaction.Committed { state; _ } -> state
-          | Transaction.Aborted { state; reason } ->
-              Format.eprintf "aborted: %s@." reason;
-              state)
-
-(* A create is not a loggable statement, so a durable run makes it
-   durable the only way the log format allows: install the new state
-   and checkpoint immediately.  Schema changes are rare; a checkpoint
-   per DDL keeps every logged record replayable against the snapshot
-   it follows.  (Without this, a create existed only in the session's
-   in-memory state and every subsequent durable insert aborted.) *)
-let apply_ddl ctx db' =
-  (match ctx.store with
-  | Some s ->
-      Store.absorb_batch s [] db';
-      Store.checkpoint s
-  | None -> ());
-  db'
-
-let apply_create ctx db name schema =
-  Syscat.check_not_reserved name;
-  apply_ddl ctx (Database.create name schema db)
-
-(* Index DDL is durable the same way: definitions live in the snapshot
-   (codec emits them as create-index commands), never in the WAL. *)
-let apply_create_index ctx db (d : Database.index_def) =
-  Syscat.check_not_reserved d.idx_name;
-  Syscat.check_not_reserved d.idx_rel;
-  apply_ddl ctx
-    (Database.create_index ~name:d.idx_name ~rel:d.idx_rel ~cols:d.idx_cols
-       ~kind:d.idx_kind db)
-
-let apply_drop_index ctx db name = apply_ddl ctx (Database.drop_index name db)
-
-(* Consecutive transaction brackets run as one batch under the
-   scheduler — snapshot isolation by default, strict 2PL with
-   --isolation 2pl — with a seeded interleaving instead of serial
-   execution and outputs delivered per transaction in input order
-   (empty for aborted ones).  Committed transactions reach the log in
-   commit order — the serial order the schedule is equivalent to — as
-   one group-committed append (a single fsync for the batch). *)
-let scheduler_batch ctx db programs =
-  let txns =
-    List.mapi
-      (fun i p -> Transaction.make ~name:(Printf.sprintf "txn-%d" (i + 1)) p)
-      programs
-  in
-  let r = Scheduler.run ~isolation:ctx.isolation ~seed:ctx.seed db txns in
-  List.iter2
-    (fun outcome outputs ->
-      match outcome with
-      | Scheduler.Committed ->
-          if not ctx.quiet then
-            List.iter (Format.printf "%a@." Relation.pp_table) outputs
-      | Scheduler.Aborted reason -> Format.eprintf "aborted: %s@." reason)
-    r.Scheduler.outcomes r.Scheduler.outputs;
-  Option.iter
-    (fun s ->
-      let arr = Array.of_list txns in
-      let qarr = Array.of_list r.Scheduler.query_ids in
-      (* qids follow the transactions through commit-order reordering,
-         so each WAL record carries the id of the transaction whose
-         statements it holds. *)
-      Store.absorb_batch s
-        ~qids:(List.map (Array.get qarr) r.Scheduler.commit_order)
-        (List.map (Array.get arr) r.Scheduler.commit_order)
-        r.Scheduler.final)
-    ctx.store;
-  if ctx.stats then begin
-    let st = r.Scheduler.stats in
-    Format.printf
-      "-- scheduler: %d txns, %d committed, %d steps, %d blocks, %d \
-       conflicts, %d deadlocks@."
-      (List.length txns)
-      (List.length r.Scheduler.commit_order)
-      st.Scheduler.steps st.Scheduler.blocks st.Scheduler.conflicts
-      st.Scheduler.deadlocks
-  end;
-  r.Scheduler.final
+          | Scheduler.Committed ->
+              if not out.quiet then
+                List.iter (Format.printf "%a@." Relation.pp_table) outputs
+          | Scheduler.Aborted reason -> Format.eprintf "aborted: %s@." reason)
+        r.Scheduler.outcomes r.Scheduler.outputs;
+      if out.stats then begin
+        let st = r.Scheduler.stats in
+        Format.printf
+          "-- scheduler: %d txns, %d committed, %d steps, %d blocks, %d \
+           conflicts, %d deadlocks@."
+          (List.length r.Scheduler.outcomes)
+          (List.length r.Scheduler.commit_order)
+          st.Scheduler.steps st.Scheduler.blocks st.Scheduler.conflicts
+          st.Scheduler.deadlocks
+      end
+  | Session.Committed | Session.Created _ | Session.Created_index _
+  | Session.Dropped_index _ ->
+      ()
 
 (* [on_step] sees the database after every command — `bagdb serve` uses
    it to keep the sampler's relation-cardinality probe pointed at the
-   live state while a script runs, instead of the preload snapshot. *)
-let run_xra ?(on_step = fun (_ : Database.t) -> ()) ctx db path =
+   live state while a script runs, instead of the preload snapshot.
+   Consecutive transaction brackets run as one scheduler batch. *)
+let run_xra ?(on_step = ignore) out session db path =
   let source = In_channel.with_open_text path In_channel.input_all in
   let rec go db = function
     | [] -> db
@@ -283,84 +124,58 @@ let run_xra ?(on_step = fun (_ : Database.t) -> ()) ctx db path =
           | rest -> (List.rev acc, rest)
         in
         let programs, rest = split [] cmds in
-        let db = scheduler_batch ctx db programs in
-        on_step db;
-        go db rest
-    | Xra.Parser.Cmd_statement stmt :: rest ->
-        let db = exec_statement ctx db stmt in
-        on_step db;
-        go db rest
-    | Xra.Parser.Cmd_create (name, schema) :: rest ->
-        let db = apply_create ctx db name schema in
-        on_step db;
-        go db rest
-    | Xra.Parser.Cmd_create_index d :: rest ->
-        let db = apply_create_index ctx db d in
-        on_step db;
-        go db rest
-    | Xra.Parser.Cmd_drop_index name :: rest ->
-        let db = apply_drop_index ctx db name in
-        on_step db;
-        go db rest
+        let r = Session.batch session db programs in
+        show out (Session.Batch r);
+        next r.Scheduler.final rest
+    | cmd :: rest ->
+        let db, outcome =
+          Session.command ~instrument:(instrument out) session db cmd
+        in
+        show out outcome;
+        next db rest
+  and next db rest =
+    on_step db;
+    go db rest
   in
   go db (Xra.Parser.script_of_string source)
 
-let run_sql ?(on_step = fun (_ : Database.t) -> ()) ctx db path =
+let run_sql ?(on_step = ignore) out session db path =
   let source = In_channel.with_open_text path In_channel.input_all in
   let step db ast =
-    let db =
-      (* The translation env includes the sys.* schemas, so FROM
-         sys.statements resolves before the catalog is attached. *)
-      match Sql.Translate.translate (Syscat.env db) ast with
-      | Sql.Translate.Query e ->
-          run_query ctx ~lang:"sql" db e;
-          db
-      | Sql.Translate.Statement stmt -> exec_statement ctx db stmt
-      | Sql.Translate.Create (name, schema) -> apply_create ctx db name schema
-      | Sql.Translate.Create_index d -> apply_create_index ctx db d
-      | Sql.Translate.Drop_index name -> apply_drop_index ctx db name
+    let db, outcome =
+      Session.sql ~instrument:(instrument out) session db ast
     in
+    show out outcome;
     on_step db;
     db
   in
   List.fold_left step db (Sql.Sql_parser.parse_script source)
 
-let explain ~analyze ~jobs db src =
-  let e = Xra.Parser.expr_of_string src in
-  let db = Syscat.attach_for db e in
-  let optimized, report =
-    if analyze then Mxra_optimizer.Optimizer.explain_db db e
-    else
-      Mxra_optimizer.Optimizer.explain
-        ~stats:(Mxra_engine.Stats.env_of_database db)
-        ~schemas:(Typecheck.env_of_database db)
-        e
-  in
-  Format.printf "input:      %s@." (Expr.to_string e);
-  Format.printf "optimized:  %s@." (Expr.to_string optimized);
-  Format.printf "est. cost:  %.0f -> %.0f tuples@."
-    report.Mxra_optimizer.Optimizer.input_cost
-    report.Mxra_optimizer.Optimizer.output_cost;
-  (match
-     ( report.Mxra_optimizer.Optimizer.input_moved,
-       report.Mxra_optimizer.Optimizer.output_moved )
-   with
+(* metrics, stats and serve pick the language by file suffix. *)
+let run_script ?on_step out session db path =
+  if Filename.check_suffix path ".sql" then run_sql ?on_step out session db path
+  else run_xra ?on_step out session db path
+
+let explain ~analyze session db src =
+  let x = Session.explain ~realize:analyze db (Xra.Parser.expr_of_string src) in
+  let (r : Mxra_optimizer.Optimizer.report) = x.report in
+  Format.printf "input:      %s@." (Expr.to_string x.input);
+  Format.printf "optimized:  %s@." (Expr.to_string x.optimized);
+  Format.printf "est. cost:  %.0f -> %.0f tuples@." r.input_cost r.output_cost;
+  (match (r.input_moved, r.output_moved) with
   | Some before, Some after ->
       Format.printf "realized:   %d -> %d tuples moved@." before after
   | _ -> ());
   if analyze then begin
-    (* The instrumented run's operator spans carry this id through the
-       ambient context — the same key a served query would put in the
-       query log and the WAL. *)
-    let qid = Obs.Qid.mint () in
+    (* The operator spans carry this id — the same key a served query
+       would put in the query log and the WAL. *)
+    let qid, analysis = Session.analyze session x in
     Format.printf "query id:   %s@." qid;
-    Trace.with_context [ (Obs.Qid.attr_key, Trace.Str qid) ] (fun () ->
-        Format.printf "explain analyze:@.%a@." Mxra_engine.Exec.pp_analysis
-          (Mxra_engine.Exec.explain_analyze ~jobs db optimized))
+    Format.printf "explain analyze:@.%a@." Mxra_engine.Exec.pp_analysis analysis
   end
   else
     Format.printf "physical:@.%s@."
-      (Mxra_engine.Exec.explain ~jobs db optimized)
+      (Mxra_engine.Exec.explain ~jobs:session.jobs x.db x.optimized)
 
 (* --- observability plumbing ------------------------------------------- *)
 
@@ -467,10 +282,6 @@ let isolation_flag =
            MXRA_ISOLATION environment variable decides."
         ~docv:"MODE")
 
-let resolve_isolation = function
-  | Some i -> i
-  | None -> Scheduler.default_isolation ()
-
 let jobs_flag =
   Arg.(value & opt int 1 & info [ "jobs" ] ~doc:"Execute plans on $(docv) domains: the planner inserts Exchange operators above large scans, joins and aggregates when profitable on this host's cores, and fragments run on a shared domain pool." ~docv:"N")
 
@@ -490,98 +301,62 @@ let set_chunk_size = function
 let path_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"SCRIPT")
 let expr_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR")
 
+(* The engine flags every script runner shares, folded into its session
+   once the store (if any) is open — inside [guarded], so a bad --jobs
+   or --chunk-size is a reported error. *)
+let session_term =
+  let make no_opt seed isolation jobs chunk store =
+    set_chunk_size chunk;
+    Session.make ~optimize:(not no_opt) ~seed ?isolation ~jobs:(set_jobs jobs)
+      ?store ()
+  in
+  Term.(
+    const make $ no_optimize_flag $ seed_flag $ isolation_flag $ jobs_flag
+    $ chunk_size_flag)
+
 let guarded f =
   match f () with
   | () -> 0
-  | exception Xra.Parser.Parse_error (msg, pos) ->
-      Format.eprintf "parse error at %d: %s@." pos msg; 1
-  | exception Xra.Lexer.Lex_error (msg, pos) ->
-      Format.eprintf "lex error at %d: %s@." pos msg; 1
-  | exception Sql.Sql_parser.Parse_error (msg, pos) ->
-      Format.eprintf "sql parse error at %d: %s@." pos msg; 1
-  | exception Sql.Sql_lexer.Lex_error (msg, pos) ->
-      Format.eprintf "sql lex error at %d: %s@." pos msg; 1
-  | exception Sql.Translate.Translate_error msg ->
-      Format.eprintf "sql error: %s@." msg; 1
-  | exception Typecheck.Type_error msg ->
-      Format.eprintf "type error: %s@." msg; 1
-  | exception Database.Unknown_relation name ->
-      Format.eprintf "unknown relation: %s@." name; 1
-  | exception Database.Duplicate_relation name ->
-      Format.eprintf "relation exists: %s@." name; 1
-  | exception Database.Unknown_index name ->
-      Format.eprintf "unknown index: %s@." name; 1
-  | exception Database.Duplicate_index name ->
-      Format.eprintf "index exists: %s@." name; 1
-  | exception Invalid_argument msg ->
-      Format.eprintf "error: %s@." msg; 1
-  | exception Syscat.Reserved name ->
-      Format.eprintf "reserved name: %s is a system catalog relation@." name; 1
-  | exception Sys_error msg ->
-      Format.eprintf "i/o error: %s@." msg; 1
-  | exception Unix.Unix_error (e, fn, _) ->
-      Format.eprintf "%s: %s@." fn (Unix.error_message e); 1
+  | exception e -> (
+      match Session.describe e with
+      | Some msg ->
+          Format.eprintf "%s@." msg;
+          1
+      | None -> raise e)
 
 let script_cmd name ~doc runner =
-  let action beer gen retail stats no_opt trace qlog slow db_dir no_ckpt seed
-      isolation jobs chunk path =
+  let action beer gen retail stats trace qlog slow db_dir no_ckpt session path
+      =
     guarded (fun () ->
-        set_chunk_size chunk;
         with_tracing ~trace ~query_log:qlog ~slow_ms:slow (fun () ->
             with_store ~checkpoint:(not no_ckpt) db_dir
               (preload beer gen retail) (fun store db ->
-                let ctx =
-                  {
-                    optimize = not no_opt;
-                    stats;
-                    quiet = false;
-                    seed;
-                    isolation = resolve_isolation isolation;
-                    jobs = set_jobs jobs;
-                    store;
-                    totals = None;
-                  }
-                in
-                ignore (runner ctx db path))))
+                let out = { stats; quiet = false; totals = None } in
+                ignore (runner out (session store) db path))))
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
       const action $ beer_flag $ gen_flag $ retail_flag $ stats_flag
-      $ no_optimize_flag $ trace_flag $ query_log_flag $ slow_flag $ db_flag
-      $ no_checkpoint_flag $ seed_flag $ isolation_flag $ jobs_flag
-      $ chunk_size_flag $ path_arg)
+      $ trace_flag $ query_log_flag $ slow_flag $ db_flag $ no_checkpoint_flag
+      $ session_term $ path_arg)
 
 let run_cmd =
-  script_cmd "run" ~doc:"Execute an XRA script." (fun ctx db path ->
-      run_xra ctx db path)
+  script_cmd "run" ~doc:"Execute an XRA script." (fun out s db path ->
+      run_xra out s db path)
 
 let sql_cmd =
-  script_cmd "sql" ~doc:"Execute a SQL script." (fun ctx db path ->
-      run_sql ctx db path)
+  script_cmd "sql" ~doc:"Execute a SQL script." (fun out s db path ->
+      run_sql out s db path)
 
 let metrics_cmd =
-  let action beer gen retail no_opt seed isolation jobs chunk path =
+  let action beer gen retail session path =
     guarded (fun () ->
-        set_chunk_size chunk;
         let agg = Obs.Agg_sink.create () in
         let totals = Mxra_engine.Metrics.create () in
-        let ctx =
-          {
-            optimize = not no_opt;
-            stats = false;
-            quiet = true;
-            seed;
-            isolation = resolve_isolation isolation;
-            jobs = set_jobs jobs;
-            store = None;
-            totals = Some totals;
-          }
-        in
-        let runner =
-          if Filename.check_suffix path ".sql" then run_sql else run_xra
-        in
+        let out = { stats = false; quiet = true; totals = Some totals } in
+        let session = session None in
         with_tracing ~trace:None ~query_log:None ~slow_ms:0.0 ~agg (fun () ->
-            ignore (runner ctx (preload beer gen retail) path));
+            ignore (run_script out session (preload beer gen retail) path));
         print_string (Obs.Prometheus.of_aggregate agg);
         print_string (Mxra_engine.Metrics.prometheus totals))
   in
@@ -592,35 +367,21 @@ let metrics_cmd =
           aggregated span latencies, operator traffic and engine counters \
           in Prometheus text format.")
     Term.(
-      const action $ beer_flag $ gen_flag $ retail_flag $ no_optimize_flag
-      $ seed_flag $ isolation_flag $ jobs_flag $ chunk_size_flag $ path_arg)
+      const action $ beer_flag $ gen_flag $ retail_flag $ session_term
+      $ path_arg)
 
 (* [bagdb stats]: run a script quietly (if given), then render the
    cumulative fingerprinted statement statistics — the same registry
    sys.statements materializes and /stmtz serves. *)
 let stats_cmd =
-  let action beer gen retail no_opt seed isolation jobs chunk json limit path =
+  let action beer gen retail session json limit path =
     guarded (fun () ->
-        set_chunk_size chunk;
-        let ctx =
-          {
-            optimize = not no_opt;
-            stats = false;
-            quiet = true;
-            seed;
-            isolation = resolve_isolation isolation;
-            jobs = set_jobs jobs;
-            store = None;
-            totals = None;
-          }
-        in
-        (match path with
-        | Some path ->
-            let runner =
-              if Filename.check_suffix path ".sql" then run_sql else run_xra
-            in
-            ignore (runner ctx (preload beer gen retail) path)
-        | None -> ());
+        let out = { stats = false; quiet = true; totals = None } in
+        let session = session None in
+        Option.iter
+          (fun path ->
+            ignore (run_script out session (preload beer gen retail) path))
+          path;
         if json then print_string (Obs.Stmt_stats.to_json ())
         else print_string (Obs.Stmt_stats.render_top ~limit ()))
   in
@@ -639,9 +400,8 @@ let stats_cmd =
           per-statement statistics keyed by fingerprint: calls, wall-time \
           quantiles, rows, WAL bytes and lock waits.")
     Term.(
-      const action $ beer_flag $ gen_flag $ retail_flag $ no_optimize_flag
-      $ seed_flag $ isolation_flag $ jobs_flag $ chunk_size_flag $ json $ limit
-      $ path)
+      const action $ beer_flag $ gen_flag $ retail_flag $ session_term $ json
+      $ limit $ path)
 
 let analyze_flag =
   Arg.(
@@ -659,7 +419,8 @@ let explain_cmd =
            plan is explained against its recovered relations and index
            definitions — how index-path selection is pinned in tests. *)
         with_store ~checkpoint:false db_dir (preload beer gen retail)
-          (fun _ db -> explain ~analyze ~jobs:(set_jobs jobs) db expr))
+          (fun _ db ->
+            explain ~analyze (Session.make ~jobs:(set_jobs jobs) ()) db expr))
   in
   Cmd.v (Cmd.info "explain" ~doc:"Optimize an XRA expression and show plans.")
     Term.(
@@ -770,26 +531,14 @@ let torture_cmd =
    each layer: GC, the domain pool, the 2PL scheduler, the WAL and the
    live relation cardinalities. *)
 let serve_cmd =
-  let action beer gen retail no_opt trace qlog slow db_dir no_ckpt seed
-      isolation jobs chunk port port_file interval_ms duration_ms script =
+  let action beer gen retail trace qlog slow db_dir no_ckpt session port
+      port_file interval_ms duration_ms script =
     guarded (fun () ->
-        set_chunk_size chunk;
         let agg = Obs.Agg_sink.create () in
         with_tracing ~trace ~query_log:qlog ~slow_ms:slow ~agg (fun () ->
             with_store ~checkpoint:(not no_ckpt) db_dir
               (preload beer gen retail) (fun store db ->
-                let ctx =
-                  {
-                    optimize = not no_opt;
-                    stats = false;
-                    quiet = false;
-                    seed;
-                    isolation = resolve_isolation isolation;
-                    jobs = set_jobs jobs;
-                    store;
-                    totals = None;
-                  }
-                in
+                let session = session store in
                 let db_ref = ref db in
                 let rel_probe () =
                   let db = !db_ref in
@@ -824,7 +573,7 @@ let serve_cmd =
                 let ts = Obs.Sampler.store sampler in
                 (* sys.series materializes from the live sampler store
                    while this server runs. *)
-                Syscat.set_series_store (Some ts);
+                Mxra_engine.Syscat.set_series_store (Some ts);
                 let quit = Atomic.make false in
                 let handler path =
                   match path with
@@ -866,20 +615,17 @@ let serve_cmd =
                     Obs.Http_server.stop server;
                     Obs.Sampler.stop sampler)
                   (fun () ->
-                    (match script with
-                    | Some path ->
-                        let runner =
-                          if Filename.check_suffix path ".sql" then run_sql
-                          else run_xra
-                        in
+                    Option.iter
+                      (fun path ->
                         (* Publish the state after every statement so
                            the sampler's cardinality series track the
                            script as it runs, not just its end. *)
                         db_ref :=
-                          runner
+                          run_script
                             ~on_step:(fun db -> db_ref := db)
-                            ctx !db_ref path
-                    | None -> ());
+                            { stats = false; quiet = false; totals = None }
+                            session !db_ref path)
+                      script;
                     (* Make sure the series reflect the script's final
                        state even if no interval tick has fired yet. *)
                     Obs.Sampler.sample_now sampler;
@@ -923,11 +669,9 @@ let serve_cmd =
           /stmtz, /ashz (Active Session History), /progressz (live query \
           progress) and /quitz.")
     Term.(
-      const action $ beer_flag $ gen_flag $ retail_flag $ no_optimize_flag
-      $ trace_flag $ query_log_flag $ slow_flag $ db_flag $ no_checkpoint_flag
-      $ seed_flag $ isolation_flag $ jobs_flag $ chunk_size_flag $ port
-      $ port_file $ interval_ms $ duration_ms
-      $ script)
+      const action $ beer_flag $ gen_flag $ retail_flag $ trace_flag
+      $ query_log_flag $ slow_flag $ db_flag $ no_checkpoint_flag
+      $ session_term $ port $ port_file $ interval_ms $ duration_ms $ script)
 
 (* [bagdb top]: the client side — fetch /topz from a running serve and
    render it, refreshing until interrupted; --once prints a single
@@ -1013,10 +757,6 @@ let top_cmd =
       $ quit $ interval_ms)
 
 let () =
-  (* sys.locks materializes from the scheduler's process counters; the
-     engine cannot name the scheduler (layering), so the host wires the
-     probe — same inversion the sampler uses. *)
-  Syscat.set_probe "sys.locks" Scheduler.telemetry;
   let doc = "a multi-set extended relational algebra database (ICDE 1994)" in
   exit
     (Cmd.eval'

@@ -22,8 +22,10 @@ open Mxra_core
 module Xra = Mxra_xra
 module Sql = Mxra_sql
 module Obs = Mxra_obs
-module Syscat = Mxra_engine.Syscat
 module Trace = Mxra_obs.Trace
+module Store = Mxra_storage.Store
+module Scheduler = Mxra_concurrency.Scheduler
+module Session = Mxra_session.Session
 
 let print_relation r = Format.printf "%a@." Relation.pp_table r
 
@@ -43,126 +45,56 @@ let trace_on path =
   Format.printf "tracing to %s (load in Perfetto); .trace off to finish@."
     path
 
-let run_query ?(lang = "xra") db e =
-  let qid = Obs.Qid.mint () in
-  let slot = Obs.Ash.register ~lang ~text:(Expr.to_string e) ~qid () in
-  Fun.protect ~finally:(fun () -> Obs.Ash.finish slot) @@ fun () ->
-  Trace.with_context [ (Obs.Qid.attr_key, Trace.Str qid) ] @@ fun () ->
-  Trace.with_span "query"
-    ~attrs:[ ("lang", Trace.Str lang); ("text", Trace.Str (Expr.to_string e)) ]
-    (fun () ->
-      (* sys.* queries see the catalog snapshot taken here — the query
-         in flight is recorded only after it finishes, but its activity
-         slot is already registered, so sys.progress sees it live. *)
-      let db = Syscat.attach_for db e in
-      let optimized = Mxra_optimizer.Optimizer.optimize_db db e in
-      let plan = Mxra_engine.Planner.plan db optimized in
-      let t0 = Trace.now_us () in
-      Obs.Ash.with_slot slot @@ fun () ->
-      let r =
-        (* The instrumented run emits the per-operator spans. *)
-        if Trace.enabled () then
-          (Mxra_engine.Exec.run_instrumented db plan).Mxra_engine.Exec.result
-        else Mxra_engine.Exec.run db plan
-      in
-      Obs.Stmt_stats.record ~lang ~qid ~rows:(Relation.cardinal r)
-        ~wall_ms:((Trace.now_us () -. t0) /. 1000.0)
-        (Expr.to_string e);
-      Trace.add_attr "rows" (Trace.Int (Relation.cardinal r));
-      r)
+(* Statements run with the shell's engine settings: optimizer on, one
+   job, the default isolation, seed 42, no store. *)
+let session = Session.make ()
 
-let exec_statement db stmt =
-  match stmt with
-  | Statement.Query e ->
-      print_relation (run_query db e);
-      db
-  | Statement.Insert (name, _) | Statement.Delete (name, _)
-  | Statement.Update (name, _, _) | Statement.Assign (name, _)
-    when Syscat.is_sys_name name ->
-      (* The catalog is read-only. *)
-      raise (Syscat.Reserved name)
-  | Statement.Insert _ | Statement.Delete _ | Statement.Update _
-  | Statement.Assign _ -> (
-      let qid = Obs.Qid.mint () in
-      let t0 = Trace.now_us () in
-      let outcome = Transaction.run db (Transaction.make [ stmt ]) in
-      Obs.Stmt_stats.record ~qid
-        ~wall_ms:((Trace.now_us () -. t0) /. 1000.0)
-        (Statement.to_string stmt);
-      match outcome with
-      | Transaction.Committed { state; _ } ->
-          Format.printf "ok@.";
-          state
-      | Transaction.Aborted { state; reason } ->
-          Format.printf "aborted: %s@." reason;
-          state)
+(* Print what a command did; the shell continues from the new state. *)
+let show (db, outcome) =
+  (match outcome with
+  | Session.Rows (r, _) -> print_relation r
+  | Session.Committed -> Format.printf "ok@."
+  | Session.Aborted reason -> Format.printf "aborted: %s@." reason
+  | Session.Created (name, schema) ->
+      Format.printf "created %s %s@." name (Schema.to_string schema)
+  | Session.Created_index d ->
+      Format.printf "created index %s on %s@." d.idx_name d.idx_rel
+  | Session.Dropped_index name -> Format.printf "dropped index %s@." name
+  | Session.Batch r ->
+      List.iter2
+        (fun outcome outputs ->
+          match outcome with
+          | Scheduler.Committed ->
+              List.iter print_relation outputs;
+              Format.printf "committed (t=%d)@."
+                (Database.logical_time r.Scheduler.final)
+          | Scheduler.Aborted reason -> Format.printf "aborted: %s@." reason)
+        r.Scheduler.outcomes r.Scheduler.outputs);
+  db
 
-let exec_transaction db program =
-  match Transaction.run db (Transaction.make program) with
-  | Transaction.Committed { state; outputs } ->
-      List.iter print_relation outputs;
-      Format.printf "committed (t=%d)@." (Database.logical_time state);
-      state
-  | Transaction.Aborted { state; reason } ->
-      Format.printf "aborted: %s@." reason;
-      state
+let exec_command db cmd = show (Session.command session db cmd)
 
-let exec_command db = function
-  | Xra.Parser.Cmd_statement stmt -> exec_statement db stmt
-  | Xra.Parser.Cmd_transaction program -> exec_transaction db program
-  | Xra.Parser.Cmd_create (name, schema) ->
-      Syscat.check_not_reserved name;
-      let db = Database.create name schema db in
-      Format.printf "created %s %s@." name (Schema.to_string schema);
-      db
-  | Xra.Parser.Cmd_create_index d ->
-      Syscat.check_not_reserved d.idx_name;
-      Syscat.check_not_reserved d.idx_rel;
-      let db =
-        Database.create_index ~name:d.idx_name ~rel:d.idx_rel ~cols:d.idx_cols
-          ~kind:d.idx_kind db
-      in
-      Format.printf "created index %s on %s@." d.idx_name d.idx_rel;
-      db
-  | Xra.Parser.Cmd_drop_index name ->
-      let db = Database.drop_index name db in
-      Format.printf "dropped index %s@." name;
-      db
-
-let exec_sql db src =
-  match Sql.Translate.translate_string (Syscat.env db) src with
-  | Sql.Translate.Query e ->
-      print_relation (run_query ~lang:"sql" db e);
-      db
-  | Sql.Translate.Statement stmt -> exec_statement db stmt
-  | Sql.Translate.Create (name, schema) ->
-      exec_command db (Xra.Parser.Cmd_create (name, schema))
-  | Sql.Translate.Create_index d ->
-      exec_command db (Xra.Parser.Cmd_create_index d)
-  | Sql.Translate.Drop_index name ->
-      exec_command db (Xra.Parser.Cmd_drop_index name)
+(* .plan E: the optimized logical expression and its physical plan.
+   explain E: the plan, each operator annotated with its estimated
+   output rows.  explain analyze E: additionally execute, annotating
+   estimated vs actual rows, per-operator q-error and wall time. *)
+let explained db src = Session.explain db (Xra.Parser.expr_of_string src)
 
 let show_plan db src =
-  let e = Xra.Parser.expr_of_string src in
-  let db = Syscat.attach_for db e in
-  let optimized = Mxra_optimizer.Optimizer.optimize_db db e in
-  Format.printf "logical (optimized):@.  %s@." (Expr.to_string optimized);
+  let x = explained db src in
+  Format.printf "logical (optimized):@.  %s@."
+    (Expr.to_string x.Session.optimized);
   Format.printf "physical:@.%s@."
-    (Mxra_engine.Physical.to_string (Mxra_engine.Planner.plan db optimized))
+    (Mxra_engine.Physical.to_string
+       (Mxra_engine.Planner.plan x.Session.db x.Session.optimized))
 
-(* explain E: optimized physical plan, each operator annotated with its
-   estimated output rows.  explain analyze E: additionally execute,
-   annotating estimated vs actual rows, per-operator q-error and wall
-   time. *)
 let explain_query db ~analyze src =
-  let e = Xra.Parser.expr_of_string src in
-  let db = Syscat.attach_for db e in
-  let optimized = Mxra_optimizer.Optimizer.optimize_db db e in
+  let x = explained db src in
   if analyze then
-    Format.printf "%a@."
-      Mxra_engine.Exec.pp_analysis
-      (Mxra_engine.Exec.explain_analyze db optimized)
-  else print_endline (Mxra_engine.Exec.explain db optimized)
+    Format.printf "%a@." Mxra_engine.Exec.pp_analysis
+      (snd (Session.analyze session x))
+  else
+    print_endline (Mxra_engine.Exec.explain x.Session.db x.Session.optimized)
 
 let help () =
   print_string
@@ -180,11 +112,22 @@ let help () =
      Profiling: explain E (estimated rows per operator)\n\
     \  explain analyze E (estimated vs actual rows, q-error, time)\n"
 
-let rec run_script db path =
+let run_script db path =
   let source = In_channel.with_open_text path In_channel.input_all in
   List.fold_left exec_command db (Xra.Parser.script_of_string source)
 
-and dispatch db line =
+(* Saving goes through the store's own checkpoint: the state becomes the
+   new snapshot (temporary file, then rename) covering every logged
+   record, and the log is truncated behind it. *)
+let save db dir =
+  let store = Store.open_dir dir in
+  Fun.protect
+    ~finally:(fun () -> Store.close store)
+    (fun () ->
+      Store.absorb_batch store [] db;
+      Store.checkpoint store)
+
+let dispatch db line =
   let trimmed = String.trim line in
   (* The issue-tracker spelling of the toggle is ":trace"; accept both. *)
   let trimmed =
@@ -208,27 +151,20 @@ and dispatch db line =
     | ".beer" :: _ ->
         Format.printf "loaded beer database@.";
         Mxra_workload.Beer.tiny
-    | ".sql" :: rest -> exec_sql db (String.concat " " rest)
+    | ".sql" :: rest ->
+        let ast = Sql.Sql_parser.parse (String.concat " " rest) in
+        show (Session.sql session db ast)
     | ".stats" :: _ ->
         print_string (Obs.Stmt_stats.render_top ());
         db
     | ".plan" :: rest -> show_plan db (String.concat " " rest); db
     | [ ".load"; path ] -> run_script db path
     | [ ".save"; dir ] ->
-        let store = Mxra_storage.Store.open_dir dir in
-        (* Saving writes the current state as a fresh snapshot. *)
-        Mxra_storage.Store.close store;
-        Out_channel.with_open_text
-          (Filename.concat dir "snapshot.xra")
-          (fun oc ->
-            Out_channel.output_string oc
-              (Mxra_storage.Codec.encode_database db));
-        Out_channel.with_open_text (Filename.concat dir "wal.xra")
-          (fun _ -> ());
+        save db dir;
         Format.printf "saved to %s@." dir;
         db
     | [ ".open"; dir ] ->
-        let recovered = Mxra_storage.Store.recover_dir dir in
+        let recovered = Store.recover_dir dir in
         Format.printf "opened %s (%d relations, t=%d)@." dir
           (List.length (Database.relation_names recovered))
           (Database.logical_time recovered);
@@ -273,55 +209,12 @@ and dispatch db line =
 let safely f db =
   match f db with
   | db -> db
-  | exception Xra.Parser.Parse_error (msg, pos) ->
-      Format.printf "parse error at %d: %s@." pos msg;
-      db
-  | exception Xra.Lexer.Lex_error (msg, pos) ->
-      Format.printf "lex error at %d: %s@." pos msg;
-      db
-  | exception Typecheck.Type_error msg ->
-      Format.printf "type error: %s@." msg;
-      db
-  | exception Statement.Exec_error msg ->
-      Format.printf "error: %s@." msg;
-      db
-  | exception Scalar.Eval_error msg ->
-      Format.printf "eval error: %s@." msg;
-      db
-  | exception Aggregate.Undefined kind ->
-      Format.printf "eval error: %a undefined on an empty group@." Aggregate.pp
-        kind;
-      db
-  | exception Sql.Translate.Translate_error msg ->
-      Format.printf "sql error: %s@." msg;
-      db
-  | exception Sql.Sql_parser.Parse_error (msg, pos) ->
-      Format.printf "sql parse error at %d: %s@." pos msg;
-      db
-  | exception Database.Unknown_relation name ->
-      Format.printf "unknown relation: %s@." name;
-      db
-  | exception Database.Duplicate_relation name ->
-      Format.printf "relation exists: %s@." name;
-      db
-  | exception Database.Unknown_index name ->
-      Format.printf "unknown index: %s@." name;
-      db
-  | exception Database.Duplicate_index name ->
-      Format.printf "index exists: %s@." name;
-      db
-  | exception Invalid_argument msg ->
-      Format.printf "error: %s@." msg;
-      db
-  | exception Syscat.Reserved name ->
-      Format.printf "reserved name: %s is a system catalog relation@." name;
-      db
-  | exception Mxra_workload.Csv.Csv_error (msg, line) ->
-      Format.printf "csv error at line %d: %s@." line msg;
-      db
-  | exception Sys_error msg ->
-      Format.printf "i/o error: %s@." msg;
-      db
+  | exception e -> (
+      match Session.describe e with
+      | Some msg ->
+          Format.printf "%s@." msg;
+          db
+      | None -> raise e)
 
 let () =
   print_endline "mxra :: multi-set extended relational algebra shell (.help)";

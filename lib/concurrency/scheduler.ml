@@ -449,16 +449,10 @@ let execute_statement sched t stmt rest =
       | Two_pl -> absorb sched t view'
       | Si -> si_absorb t view' stmt);
       t.remaining <- rest
-  | exception Statement.Exec_error msg -> finish sched t (Aborted msg)
-  | exception Typecheck.Type_error msg -> finish sched t (Aborted msg)
-  | exception Scalar.Eval_error msg -> finish sched t (Aborted msg)
-  | exception Aggregate.Undefined kind ->
-      finish sched t (Aborted (Aggregate.name kind ^ " of an empty multi-set"))
-  | exception Database.Unknown_relation name ->
-      finish sched t (Aborted ("unknown relation " ^ name))
-  | exception Database.Duplicate_relation name ->
-      finish sched t (Aborted ("duplicate relation " ^ name))
-  | exception Relation.Schema_mismatch msg -> finish sched t (Aborted msg)
+  | exception e -> (
+      match Transaction.abort_reason e with
+      | Some reason -> finish sched t (Aborted reason)
+      | None -> raise e)
 
 (* One scheduling step of transaction [t]: under SI run its next
    statement against the snapshot (no locks); under 2PL first acquire

@@ -26,13 +26,14 @@ type write = {
   w_removed : Relation.Bag.t;
 }
 
-let write_observer : (write -> unit) option ref = ref None
-let set_write_observer f = write_observer := f
+let observer : (write -> unit) option ref = ref None
+let set_write_observer f = observer := f
+let write_observer () = !observer
 
 (* Deltas are only computed when someone is listening: the no-observer
    fast path is a single ref read. *)
 let observe_write db name ~before ~after ~added ~removed =
-  match !write_observer with
+  match !observer with
   | None -> ()
   | Some f ->
       f

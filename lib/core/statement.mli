@@ -56,6 +56,9 @@ val set_write_observer : (write -> unit) option -> unit
     (the default) updates pay a single ref read; deltas are computed
     only while an observer is installed. *)
 
+val write_observer : unit -> (write -> unit) option
+(** The installed observer, so a caller can chain to it or restore it. *)
+
 val infer : Database.t -> t -> unit
 (** Statically check the statement against the database schema without
     executing it (the [Assign] case cannot extend the environment here;

@@ -18,23 +18,27 @@ type outcome =
       reason : string;
     }
 
+(* The one table from a failure inside a transaction to the reason its
+   abort reports — shared with the scheduler, so a statement fails with
+   the same words whether it ran serially or interleaved. *)
+let abort_reason = function
+  | Statement.Exec_error msg | Typecheck.Type_error msg | Scalar.Eval_error msg
+  | Relation.Schema_mismatch msg ->
+      Some msg
+  | Aggregate.Undefined kind ->
+      Some (Aggregate.name kind ^ " applied to an empty multi-set")
+  | Database.Unknown_relation name -> Some ("unknown relation " ^ name)
+  | Database.Duplicate_relation name ->
+      Some ("assignment shadows persistent relation " ^ name)
+  | _ -> None
+
 (* The pre-state D^t is a value; abort simply re-installs it.  Commit
    drops temporaries and advances the logical clock, yielding D^{t+1}. *)
 let run db txn =
   let abort reason = Aborted { state = Database.tick db; reason } in
   match Program.exec db txn.body with
-  | exception Statement.Exec_error msg -> abort msg
-  | exception Typecheck.Type_error msg -> abort msg
-  | exception Scalar.Eval_error msg -> abort msg
-  | exception Aggregate.Undefined kind ->
-      abort
-        (Printf.sprintf "%s applied to an empty multi-set"
-           (Aggregate.name kind))
-  | exception Database.Unknown_relation name ->
-      abort (Printf.sprintf "unknown relation %s" name)
-  | exception Database.Duplicate_relation name ->
-      abort (Printf.sprintf "assignment shadows persistent relation %s" name)
-  | exception Relation.Schema_mismatch msg -> abort msg
+  | exception e -> (
+      match abort_reason e with Some reason -> abort reason | None -> raise e)
   | final, outputs ->
       let must_abort =
         match txn.abort_if with None -> false | Some cond -> cond final

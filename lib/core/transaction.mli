@@ -44,6 +44,14 @@ type outcome =
       reason : string;
     }
 
+val abort_reason : exn -> string option
+(** The reason an abort reports for a failure inside a transaction:
+    statement, type, evaluation and schema errors, an aggregate over an
+    empty multi-set, an unknown relation, or an assignment shadowing a
+    persistent relation.  [None] for anything else — a programming
+    error, which propagates.  Shared by {!run} and the interleaving
+    scheduler, so both abort with the same words. *)
+
 val run : Database.t -> t -> outcome
 (** Execute the transaction.  Never raises for failures inside the
     transaction — those abort it; programming errors outside the model

@@ -210,6 +210,66 @@ let test_temporaries_are_private () =
 
 (* --- property: random batches are serializable ------------------------------ *)
 
+(* --- one abort-reason table ------------------------------------------- *)
+
+(* Each of the seven failure classes a statement can end in, as a
+   one-statement transaction over [r = {(1)}], with the reason its abort
+   reports.  No statement reaches a schema mismatch — the statement
+   layer checks schemas before any write — so that class is injected
+   through the write observer on a relation of its own. *)
+let abort_cases =
+  let stmt src = Mxra_xra.Parser.statement_of_string src in
+  [
+    ("statement error", stmt "insert(missing, r)", "unknown relation missing");
+    ( "type error",
+      stmt "insert(r, union(r, rel[(b:str)]{('x')}))",
+      "union of incompatible schemas (a:int) and (b:str)" );
+    ("evaluation error", stmt "?project[%1 / 0](r)", "division by zero");
+    ( "empty aggregate",
+      stmt "?groupby[; MIN(%1)](select[%1 > 100](r))",
+      "MIN applied to an empty multi-set" );
+    ("unknown relation", stmt "?missing", "unknown relation missing");
+    ( "duplicate relation",
+      stmt "r := r",
+      "assignment shadows persistent relation r" );
+    ("schema mismatch", stmt "insert(poison, r)", "poisoned");
+  ]
+
+let test_one_abort_reason () =
+  let one =
+    Relation.of_list
+      (Schema.of_list [ ("a", Domain.DInt) ])
+      [ Tuple.of_list [ Value.Int 1 ] ]
+  in
+  let db = Database.of_relations [ ("r", one); ("poison", one) ] in
+  let previous = Statement.write_observer () in
+  Statement.set_write_observer
+    (Some
+       (fun w ->
+         if w.Statement.w_name = "poison" then
+           raise (Relation.Schema_mismatch "poisoned");
+         Option.iter (fun f -> f w) previous));
+  Fun.protect ~finally:(fun () -> Statement.set_write_observer previous)
+  @@ fun () ->
+  List.iter
+    (fun (what, stmt, expected) ->
+      let txn = Transaction.make [ stmt ] in
+      let serial =
+        match Transaction.run db txn with
+        | Transaction.Aborted { reason; _ } -> reason
+        | Transaction.Committed _ -> "committed"
+      in
+      Alcotest.(check string) (what ^ ": Transaction.run") expected serial;
+      List.iter
+        (fun isolation ->
+          let r = Scheduler.run ~isolation ~seed:1 db [ txn ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s" what (Scheduler.isolation_name isolation))
+            true
+            (r.Scheduler.outcomes = [ Scheduler.Aborted expected ]))
+        [ Scheduler.Si; Scheduler.Two_pl ])
+    abort_cases
+
 let serializability_property =
   let test seed =
     let rng = W.Rng.make seed in
@@ -245,5 +305,7 @@ let suite =
       Alcotest.test_case "deadlock broken" `Quick test_deadlock_broken;
       Alcotest.test_case "temporaries are private" `Quick
         test_temporaries_are_private;
+      Alcotest.test_case "one abort reason, serial or interleaved" `Quick
+        test_one_abort_reason;
       serializability_property;
     ] )

@@ -25,4 +25,5 @@ let () =
       Test_obs.suite;
       Test_syscat.suite;
       Test_index.suite;
+      Test_session.suite;
     ]
