@@ -55,6 +55,10 @@ let best_of_3 f =
   let _, t3 = time_ms f in
   Float.min t1 (Float.min t2 t3)
 
+(* A plan-wide total of one execution: [tuples-moved] or [cells-moved]. *)
+let moved total db plan =
+  Metrics.count (Metrics.counter (Exec.run_instrumented db plan).Exec.totals total)
+
 (* Compare two thunks on a noisy host: run them interleaved A,B,A,B,…
    and take the {e median of the per-iteration ratios} ta/tb, so each
    ratio divides two runs adjacent in time and slow phases (frequency
@@ -138,8 +142,8 @@ let e1_dup_removal () =
    fast path. *)
 let e2_derived_operators () =
   header "E2  Theorem 3.1: derived vs native operators";
-  row "  %8s | %12s %14s | %10s %10s %14s@." "n" "native \xe2\x88\xa9 ms"
-    "E1-(E1-E2) ms" "hash ms" "merge ms" "sel(E1xE2) ms";
+  row "  %8s | %12s %14s | %10s %14s@." "n" "native \xe2\x88\xa9 ms"
+    "E1-(E1-E2) ms" "hash ms" "sel(E1xE2) ms";
   let sizes = if quick then [ 1_000 ] else [ 1_000; 2_000; 4_000 ] in
   List.iter
     (fun n ->
@@ -161,9 +165,6 @@ let e2_derived_operators () =
           (Expr.rel "s")
       in
       let join_ms = best_of_3 (fun () -> Exec.run_expr db jn) in
-      let merge_plan = Planner.plan ~join_algorithm:Planner.Merge db jn in
-      assert (Relation.equal (Exec.run db merge_plan) (Eval.eval db jn));
-      let merge_ms = best_of_3 (fun () -> Exec.run db merge_plan) in
       let product_plan =
         Physical.Filter
           ( Pred.eq (Scalar.attr 1) (Scalar.attr 3),
@@ -171,8 +172,8 @@ let e2_derived_operators () =
       in
       assert (Relation.equal (Exec.run db product_plan) (Eval.eval db jn));
       let product_ms = best_of_3 (fun () -> Exec.run db product_plan) in
-      row "  %8d | %12.2f %14.2f | %10.2f %10.2f %14.2f@." n inter_ms
-        derived_ms join_ms merge_ms product_ms)
+      row "  %8d | %12.2f %14.2f | %10.2f %14.2f@." n inter_ms derived_ms
+        join_ms product_ms)
     sizes
 
 (* ---------------------------------------------------------------- E3 *)
@@ -253,7 +254,7 @@ let e4_join_order () =
     let plan = Planner.plan db e in
     let ms = best_of_3 (fun () -> Exec.run db plan) in
     row "  %-30s | %10.0f %12.2f %14d@." name est ms
-      (Exec.tuples_moved db plan)
+      (moved "tuples-moved" db plan)
   in
   report "(a join b) join c [left-deep]" left_deep;
   report "a join (b x c) [pathological]" bad;
@@ -294,7 +295,7 @@ let e5_early_projection () =
         let plan = Planner.plan db e in
         let ms = best_of_3 (fun () -> Exec.run db plan) in
         row "  %8d | %-22s %10.2f %16d %14d@." n name ms
-          (agg_input_cells db e) (Exec.cells_moved db plan)
+          (agg_input_cells db e) (moved "cells-moved" db plan)
       in
       report "full (paper, no pi)" W.Beer.example_3_2;
       report "reduced (paper, pi)" W.Beer.example_3_2_reduced;
@@ -771,7 +772,9 @@ let e13_estimation_quality () =
         let optimized = Opt.Optimizer.optimize_db db e in
         let analysis = Exec.explain_analyze db optimized in
         let ops = flatten_report analysis.Exec.root in
-        let qs = List.map (fun (r : Exec.report) -> r.Exec.q_error) ops in
+        let qs =
+          List.map (fun (r : Exec.report) -> Lazy.force r.Exec.q_error) ops
+        in
         let max_q = List.fold_left Float.max 1.0 qs in
         let mean_q =
           exp
@@ -813,7 +816,8 @@ let e13_estimation_quality () =
           bpf "\n       {\"op\": \"%s\", \"est\": %.1f, \"act\": %d, \"q\": \
                %.4f}"
             (json_escape (Physical.label r.Exec.node))
-            r.Exec.estimated_rows r.Exec.actual.Exec.out_rows r.Exec.q_error)
+            (Lazy.force r.Exec.estimated_rows)
+            r.Exec.actual.Exec.out_rows (Lazy.force r.Exec.q_error))
         ops;
       bpf "]}")
     results;
@@ -1095,11 +1099,12 @@ let e15_parallel_speedup () =
 (* --------------------------------------------------------------- E17 *)
 
 (* Statement-stats registry overhead: the E14 query set executed the
-   way bagdb executes it — instrumented run, then one
-   [Stmt_stats.record] with the statement text — under the registry
-   disabled vs enabled.  Enabled pays fingerprint normalization + FNV,
-   one mutex acquisition and a histogram observe per statement, plus
-   the per-operator [Op_stats] feed inside [run_instrumented]; E14
+   way bagdb executes it — [run_instrumented], the one execution path,
+   then one [Stmt_stats.record] with the statement text — under the
+   registry disabled vs enabled.  Enabled pays fingerprint
+   normalization + FNV, one mutex acquisition and a histogram observe
+   per statement, plus the per-operator [Op_stats] feed every execution
+   makes; E14
    discipline applies (interleaved configs, best-of-rounds) and the
    same 5% budget gates it.  A third, informational figure times the
    full catalog round trip: attach [sys.*] and scan [sys.statements]
@@ -1343,7 +1348,7 @@ let e18_index_scaling () =
               (fun e ->
                 let analysis = Exec.explain_analyze db_idx e in
                 ( Physical.label analysis.Exec.root.Exec.node,
-                  analysis.Exec.root.Exec.q_error ))
+                  Lazy.force analysis.Exec.root.Exec.q_error ))
               ([ point 17; point (n / 2); point (n - 1) ]
               @ [ range 10 15; range 100 130; range 300 364 ]);
         (n, n_seq, pt_seq_ms, pt_idx_ms, pt_speedup, n_rseq, rg_seq_ms,

@@ -70,20 +70,14 @@ let merge_totals master src =
           Mxra_engine.Metrics.add_ms (Mxra_engine.Metrics.timer master name) ms)
     (Mxra_engine.Metrics.dump src)
 
-(* Queries run instrumented when their numbers are printed or merged. *)
-let instrument out = out.stats || Option.is_some out.totals
-
 let show out = function
-  | Session.Rows (r, a) ->
-      if not out.quiet then Format.printf "%a@." Relation.pp_table r;
-      Option.iter
-        (fun (a : Mxra_engine.Exec.analysis) ->
-          Option.iter (fun m -> merge_totals m a.totals) out.totals;
-          if out.stats then
-            Format.printf "-- %.3f ms, %d tuples moved@." a.total_ms
-              (Mxra_engine.Metrics.count
-                 (Mxra_engine.Metrics.counter a.totals "tuples-moved")))
-        a
+  | Session.Rows a ->
+      if not out.quiet then Format.printf "%a@." Relation.pp_table a.result;
+      Option.iter (fun m -> merge_totals m a.totals) out.totals;
+      if out.stats then
+        Format.printf "-- %.3f ms, %d tuples moved@." a.total_ms
+          (Mxra_engine.Metrics.count
+             (Mxra_engine.Metrics.counter a.totals "tuples-moved"))
   | Session.Aborted reason -> Format.eprintf "aborted: %s@." reason
   | Session.Batch r ->
       (* Outputs per transaction in input order, empty for aborted
@@ -128,9 +122,7 @@ let run_xra ?(on_step = ignore) out session db path =
         show out (Session.Batch r);
         next r.Scheduler.final rest
     | cmd :: rest ->
-        let db, outcome =
-          Session.command ~instrument:(instrument out) session db cmd
-        in
+        let db, outcome = Session.command session db cmd in
         show out outcome;
         next db rest
   and next db rest =
@@ -142,9 +134,7 @@ let run_xra ?(on_step = ignore) out session db path =
 let run_sql ?(on_step = ignore) out session db path =
   let source = In_channel.with_open_text path In_channel.input_all in
   let step db ast =
-    let db, outcome =
-      Session.sql ~instrument:(instrument out) session db ast
-    in
+    let db, outcome = Session.sql session db ast in
     show out outcome;
     on_step db;
     db

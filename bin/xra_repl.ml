@@ -52,7 +52,7 @@ let session = Session.make ()
 (* Print what a command did; the shell continues from the new state. *)
 let show (db, outcome) =
   (match outcome with
-  | Session.Rows (r, _) -> print_relation r
+  | Session.Rows a -> print_relation a.Mxra_engine.Exec.result
   | Session.Committed -> Format.printf "ok@."
   | Session.Aborted reason -> Format.printf "aborted: %s@." reason
   | Session.Created (name, schema) ->

@@ -37,7 +37,8 @@ val cost : stats:Stats.env -> schemas:Typecheck.env -> Expr.t -> float
     included) of estimated cardinality × output arity — the objective
     the optimizer minimises.  Weighting by arity is what makes
     Example 3.2's narrowing projections profitable in the model, as they
-    are in the measured cell traffic ({!Exec.cells_moved}). *)
+    are in the measured cell traffic (the [cells-moved] total of
+    {!Exec.run_instrumented}). *)
 
 val selectivity : profile -> Pred.t -> float
 (** Estimated fraction of tuples satisfying the condition, in [0, 1]. *)

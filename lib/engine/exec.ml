@@ -318,25 +318,151 @@ let on_pool ~name ~t0 ~rows ~out_rows tasks =
       outs;
   Array.map (fun o -> o.frag_out) outs
 
-(* The maximal σ/π pipeline above a source, as one per-tuple function. *)
-let rec pipeline_stages plan =
+(* σ and π over one chunk: the per-stage kernels the sequential
+   operators and the Exchange scan-worker share.  [filter_chunk] may
+   return an empty array. *)
+let filter_chunk p c =
+  let n = Array.length c in
+  if n = 0 then c
+  else begin
+    let out = Array.make n c.(0) in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      let (tuple, _) as x = c.(i) in
+      if Pred.eval tuple p then begin
+        out.(!k) <- x;
+        incr k
+      end
+    done;
+    if !k = n then out else Array.sub out 0 !k
+  end
+
+let project_chunk exprs c =
+  Array.map
+    (fun (tuple, n) -> (Tuple.of_list (List.map (Scalar.eval tuple) exprs), n))
+    c
+
+(* A maximal σ/π chain: its source and its stages, bottom first. *)
+let rec chain plan stages =
   match plan with
-  | Physical.Filter (p, t) ->
-      let src, f = pipeline_stages t in
-      ( src,
-        fun tn ->
-          match f tn with
-          | Some (tup, _) as r when Pred.eval tup p -> r
-          | Some _ | None -> None )
+  | Physical.Filter (p, t) -> chain t ((plan, filter_chunk p) :: stages)
   | Physical.Project_op (exprs, t) ->
-      let src, f = pipeline_stages t in
-      ( src,
-        fun tn ->
-          Option.map
-            (fun (tup, n) ->
-              (Tuple.of_list (List.map (Scalar.eval tup) exprs), n))
-            (f tn) )
-  | src -> (src, Option.some)
+      chain t ((plan, project_chunk exprs) :: stages)
+  | src -> (src, stages)
+
+(* --- the observation point ---------------------------------------------- *)
+
+(* Add a chunk's elements, rows (weighted by multiplicity) and cells
+   (weighted by arity) to an operator's record; returns the rows.
+   Because the engine runs on the counted representation [(x, E(x))],
+   the accounting is exact and costs one pass over the chunk. *)
+let tally (m : Metrics.op) c =
+  let rows = ref 0 and cells = ref 0 in
+  Array.iter
+    (fun (t, n) ->
+      rows := !rows + n;
+      cells := !cells + Tuple.arity t)
+    c;
+  Metrics.add m.Metrics.elems (Array.length c);
+  Metrics.add m.Metrics.rows !rows;
+  Metrics.add m.Metrics.cells !cells;
+  !rows
+
+(* One execution.  Every operator of the plan has one record, keyed by
+   physical identity: the planner allocates a fresh node per tree
+   position, so [==] distinguishes structurally equal siblings.  (If a
+   caller builds a plan with a physically shared subtree, its uses
+   merge into one record — the report then shows the combined figures
+   at each occurrence.)  [slot] is the statement's activity-registry
+   slot, if it registered one ({!Mxra_obs.Ash.with_slot}). *)
+type ctx = {
+  db : Database.t;
+  size : int;
+  root : Physical.t;
+  ops : (Physical.t * Metrics.op) list;
+  slot : Ash.slot option;
+  traced : bool;
+}
+
+let context ?chunk_size db plan =
+  let ops = ref [] in
+  let rec register p =
+    ops := (p, Metrics.make_op ()) :: !ops;
+    List.iter register (Physical.children p)
+  in
+  register plan;
+  {
+    db;
+    size = (match chunk_size with Some n -> max 1 n | None -> !chunk_ref);
+    root = plan;
+    ops = !ops;
+    slot = Ash.current ();
+    traced = Trace.enabled ();
+  }
+
+let find cx p = snd (List.find (fun (q, _) -> q == p) cx.ops)
+
+(* An operator-specific gauge: hash-build size, group count,
+   materialised inner cardinality. *)
+let gauge cx p key v = Metrics.set_detail (find cx p) key v
+
+(* A traced operator's span runs from stream construction to stream
+   exhaustion — its lifetime in the pipeline, which in a lazy engine
+   contains the lifetimes of its children, so viewers nest the spans
+   correctly.  The span links to the operator's exact counters: emitted
+   rows/elements, the measured inclusive wall time, and the gauges. *)
+let op_span_attrs p (m : Metrics.op) =
+  ("label", Trace.Str (Physical.label p))
+  :: ("rows", Trace.Int (Metrics.count m.Metrics.rows))
+  :: ("elems", Trace.Int (Metrics.count m.Metrics.elems))
+  :: ("wall_ms", Trace.Float (Metrics.elapsed_ms m.Metrics.wall))
+  :: List.map (fun (k, v) -> (k, Trace.Int v)) (Metrics.details m)
+
+(* The one observation point: [observed cx p thunk] builds operator
+   [p]'s output stream (eager work — hash builds, sorts, scan chunking —
+   happens inside the thunk) and wraps it once.  Each pull is timed,
+   inclusive of child pulls as in EXPLAIN ANALYZE's actual time, and
+   each chunk is tallied into [p]'s record.  Inside a live ASH slot
+   every chunk stamps [p] as the operator currently producing, and
+   chunks leaving the root advance the statement's rows, so
+   sys.progress moves while the query runs.  Under tracing the
+   operator's span is emitted at the first exhaustion. *)
+let observed cx p thunk =
+  let m = find cx p in
+  let stamp =
+    match cx.slot with
+    | None -> ignore
+    | Some slot ->
+        let kind = Physical.kind p in
+        if p == cx.root then fun rows ->
+          Ash.set_operator slot kind;
+          Ash.advance slot ~rows
+        else fun _ -> Ash.set_operator slot kind
+  in
+  let on_end =
+    if cx.traced then begin
+      let start_us = Trace.now_us () in
+      let ended = ref false in
+      fun () ->
+        if not !ended then begin
+          ended := true;
+          Trace.complete (Physical.kind p) ~start_us
+            ~dur_us:(Trace.now_us () -. start_us)
+            ~attrs:(op_span_attrs p m)
+        end
+    end
+    else ignore
+  in
+  let rec go s () =
+    match Metrics.record m.Metrics.wall s with
+    | Seq.Nil ->
+        on_end ();
+        Seq.Nil
+    | Seq.Cons (c, rest) ->
+        stamp (tally m c);
+        Seq.Cons (c, go rest)
+  in
+  go (Metrics.record m.Metrics.wall thunk)
 
 (* --- plan execution ---------------------------------------------------- *)
 
@@ -351,67 +477,18 @@ let count_table chunks =
     chunks;
   table
 
-(* Instrumentation hooks.  [around node thunk] wraps the construction of
-   an operator's output chunk stream (eager work — hash builds, sorts,
-   scan chunking — happens inside the thunk) and may wrap the stream
-   itself, seeing every chunk the operator emits; summing the chunk
-   contents over operators measures the tuple traffic of the plan, and
-   weighting by arity measures the data volume.  [observe node key
-   value] reports an operator-specific gauge (hash-build size, group
-   count, materialised inner cardinality). *)
-type hooks = {
-  around : Physical.t -> (unit -> chunk Seq.t) -> chunk Seq.t;
-  observe : Physical.t -> string -> int -> unit;
-}
+let rec exec cx plan : chunk Seq.t =
+  observed cx plan (fun () -> exec_node cx plan)
 
-let no_hooks = { around = (fun _ f -> f ()); observe = (fun _ _ _ -> ()) }
-
-(* Live-progress hooks, composed over whatever instrumentation is
-   already in place: when a statement registered itself in the activity
-   registry ({!Mxra_obs.Ash.with_slot} around the execution), every
-   chunk any operator emits stamps that operator as the one currently
-   producing, and chunks leaving the plan [root] advance the
-   statement's row/chunk counters — sys.progress moves while the query
-   runs, at chunk granularity.  With no ambient slot (registry off, or
-   a bare [run]) the hooks are returned untouched: the hot path pays
-   nothing. *)
-let with_progress root base =
-  match Ash.current () with
-  | None -> base
-  | Some slot ->
-      {
-        base with
-        around =
-          (fun p thunk ->
-            let s = base.around p thunk in
-            let kind = Physical.kind p in
-            if p == root then
-              Seq.map
-                (fun c ->
-                  Ash.set_operator slot kind;
-                  Ash.advance slot
-                    ~rows:(Array.fold_left (fun acc (_, n) -> acc + n) 0 c);
-                  c)
-                s
-            else
-              Seq.map
-                (fun c ->
-                  Ash.set_operator slot kind;
-                  c)
-                s);
-      }
-
-let rec exec ~hooks ~size db plan : chunk Seq.t =
-  hooks.around plan (fun () -> exec_node ~hooks ~size db plan)
-
-and exec_node ~hooks ~size db plan : chunk Seq.t =
+and exec_node cx plan : chunk Seq.t =
+  let size = cx.size and db = cx.db in
   match plan with
   | Physical.Const_scan r -> chunks_of_bag size (Relation.bag r)
   | Physical.Seq_scan name ->
       chunks_of_bag size (Relation.bag (Database.find name db))
   | Physical.Index_scan { def; access; residual } ->
       let idx = Index.get def (Database.find def.idx_rel db) in
-      hooks.observe plan "keys" (Index.distinct_keys idx);
+      gauge cx plan "keys" (Index.distinct_keys idx);
       let matches = Index.probe idx access in
       let matches =
         match residual with
@@ -423,7 +500,7 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
       (* Probe the inner relation's index once per outer row — no build
          phase; the structure is shared via the index cache. *)
       let idx = Index.get def (Database.find def.idx_rel db) in
-      hooks.observe plan "keys" (Index.distinct_keys idx);
+      gauge cx plan "keys" (Index.distinct_keys idx);
       expand_chunks size
         (fun push ->
           Array.iter (fun (ltuple, ln) ->
@@ -433,29 +510,12 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
                   let combined = Tuple.concat ltuple rtuple in
                   if Pred.eval combined residual then push (combined, ln * rn))
                 (Index.probe_point idx key)))
-        (exec ~hooks ~size db outer)
+        (exec cx outer)
   | Physical.Filter (p, t) ->
-      Seq.filter_map
-        (fun c ->
-          let n = Array.length c in
-          let out = Array.make n c.(0) in
-          let k = ref 0 in
-          for i = 0 to n - 1 do
-            let (tuple, _) as x = c.(i) in
-            if Pred.eval tuple p then begin
-              out.(!k) <- x;
-              incr k
-            end
-          done;
-          if !k = 0 then None
-          else if !k = n then Some out
-          else Some (Array.sub out 0 !k))
-        (exec ~hooks ~size db t)
-  | Physical.Project_op (exprs, t) ->
-      let image tuple = Tuple.of_list (List.map (Scalar.eval tuple) exprs) in
-      Seq.map
-        (fun c -> Array.map (fun (tuple, n) -> (image tuple, n)) c)
-        (exec ~hooks ~size db t)
+      Seq.filter
+        (fun c -> Array.length c > 0)
+        (Seq.map (filter_chunk p) (exec cx t))
+  | Physical.Project_op (exprs, t) -> Seq.map (project_chunk exprs) (exec cx t)
   | Physical.Hash_join { left_keys; right_keys; residual; left; right; _ } ->
       (* Build on the right, probe (pipelined, chunk at a time) from the
          left. *)
@@ -465,70 +525,15 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
         (fun c ->
           entries := !entries + Array.length c;
           join_build right_keys table c)
-        (exec ~hooks ~size db right);
-      hooks.observe plan "build" !entries;
-      hooks.observe plan "keys" (TH.length table);
+        (exec cx right);
+      gauge cx plan "build" !entries;
+      gauge cx plan "keys" (TH.length table);
       expand_chunks size
         (join_probe table ~keys:left_keys ~residual)
-        (exec ~hooks ~size db left)
-  | Physical.Merge_join { left_keys; right_keys; residual; left; right; _ } ->
-      (* Sort both inputs by their key projections and merge key groups.
-         Both sides materialise; output is emitted lazily per group
-         pair. *)
-      let keyed keys chunks =
-        let rows = concat_chunks chunks in
-        let arr = Array.map (fun (t, n) -> (Tuple.project keys t, t, n)) rows in
-        Array.sort (fun (k1, _, _) (k2, _, _) -> Tuple.compare k1 k2) arr;
-        arr
-      in
-      let ls = keyed left_keys (exec ~hooks ~size db left) in
-      let rs = keyed right_keys (exec ~hooks ~size db right) in
-      hooks.observe plan "sorted-left" (Array.length ls);
-      hooks.observe plan "sorted-right" (Array.length rs);
-      let group arr i =
-        let key, _, _ = arr.(i) in
-        let rec last j =
-          if j + 1 < Array.length arr
-             && Tuple.compare key (let k, _, _ = arr.(j + 1) in k) = 0
-          then last (j + 1)
-          else j
-        in
-        (key, last i)
-      in
-      let out = Vec.create size in
-      let rec merge i j () =
-        if i >= Array.length ls || j >= Array.length rs then Seq.Nil
-        else
-          let lk, li = group ls i in
-          let rk, rj = group rs j in
-          let c = Tuple.compare lk rk in
-          if c < 0 then merge (li + 1) j ()
-          else if c > 0 then merge i (rj + 1) ()
-          else begin
-            (* Output chunks per matching group pair, re-chunked at
-               [size] so large groups stay nursery-sized. *)
-            let outs = ref [] in
-            let push x =
-              Vec.push out x;
-              if out.Vec.len >= size then outs := Vec.flush out :: !outs
-            in
-            for a = i to li do
-              for b = j to rj do
-                let _, lt, ln = ls.(a) and _, rt, rn = rs.(b) in
-                let combined = Tuple.concat lt rt in
-                if Pred.eval combined residual then push (combined, ln * rn)
-              done
-            done;
-            if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-            match List.rev !outs with
-            | [] -> merge (li + 1) (rj + 1) ()
-            | cs -> Seq.append (List.to_seq cs) (merge (li + 1) (rj + 1)) ()
-          end
-      in
-      merge 0 0
+        (exec cx left)
   | Physical.Nested_loop (p, l, r) ->
-      let right_rows = concat_chunks (exec ~hooks ~size db r) in
-      hooks.observe plan "inner" (Array.length right_rows);
+      let right_rows = concat_chunks (exec cx r) in
+      gauge cx plan "inner" (Array.length right_rows);
       expand_chunks size
         (fun push ->
           Array.iter (fun (ltuple, ln) ->
@@ -537,34 +542,33 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
                   let combined = Tuple.concat ltuple rtuple in
                   if Pred.eval combined p then push (combined, ln * rn))
                 right_rows))
-        (exec ~hooks ~size db l)
+        (exec cx l)
   | Physical.Cross_product (l, r) ->
-      let right_rows = concat_chunks (exec ~hooks ~size db r) in
-      hooks.observe plan "inner" (Array.length right_rows);
+      let right_rows = concat_chunks (exec cx r) in
+      gauge cx plan "inner" (Array.length right_rows);
       expand_chunks size
         (fun push ->
           Array.iter (fun (ltuple, ln) ->
               Array.iter
                 (fun (rtuple, rn) -> push (Tuple.concat ltuple rtuple, ln * rn))
                 right_rows))
-        (exec ~hooks ~size db l)
-  | Physical.Union_all (l, r) ->
-      Seq.append (exec ~hooks ~size db l) (exec ~hooks ~size db r)
+        (exec cx l)
+  | Physical.Union_all (l, r) -> Seq.append (exec cx l) (exec cx r)
   | Physical.Hash_diff (l, r) ->
-      let left_counts = count_table (exec ~hooks ~size db l) in
-      let right_counts = count_table (exec ~hooks ~size db r) in
-      hooks.observe plan "left-keys" (TH.length left_counts);
-      hooks.observe plan "right-keys" (TH.length right_counts);
+      let left_counts = count_table (exec cx l) in
+      let right_counts = count_table (exec cx r) in
+      gauge cx plan "left-keys" (TH.length left_counts);
+      gauge cx plan "right-keys" (TH.length right_counts);
       let monus (t, ln) =
         let rn = Option.value ~default:0 (TH.find_opt right_counts t) in
         if ln > rn then Some (t, ln - rn) else None
       in
       chunks_of_seq size (Seq.filter_map monus (TH.to_seq left_counts))
   | Physical.Hash_intersect (l, r) ->
-      let left_counts = count_table (exec ~hooks ~size db l) in
-      let right_counts = count_table (exec ~hooks ~size db r) in
-      hooks.observe plan "left-keys" (TH.length left_counts);
-      hooks.observe plan "right-keys" (TH.length right_counts);
+      let left_counts = count_table (exec cx l) in
+      let right_counts = count_table (exec cx r) in
+      gauge cx plan "left-keys" (TH.length left_counts);
+      gauge cx plan "right-keys" (TH.length right_counts);
       let pointwise_min (t, ln) =
         match TH.find_opt right_counts t with
         | Some rn -> Some (t, min ln rn)
@@ -575,37 +579,35 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
       let seen = TH.create 64 in
       Seq.iter
         (Array.iter (fun (tuple, _) -> TH.replace seen tuple ()))
-        (exec ~hooks ~size db t);
-      hooks.observe plan "distinct" (TH.length seen);
+        (exec cx t);
+      gauge cx plan "distinct" (TH.length seen);
       chunks_of_seq size (Seq.map (fun (tuple, ()) -> (tuple, 1)) (TH.to_seq seen))
   | Physical.Hash_aggregate (attrs, aggs, t) ->
       let g = grouping db t attrs aggs in
       let groups = TH.create 64 in
-      Seq.iter (group_rows g groups) (exec ~hooks ~size db t);
+      Seq.iter (group_rows g groups) (exec cx t);
       let out = finish_groups g groups in
-      hooks.observe plan "groups" (TH.length groups);
+      gauge cx plan "groups" (TH.length groups);
       chunks_of_seq size out
-  | Physical.Exchange { parts; child } ->
-      exec_exchange ~hooks ~size db plan parts child
+  | Physical.Exchange { parts; child } -> exec_exchange cx plan parts child
 
 (* --- parallel execution of an Exchange node ---------------------------- *)
 
-and exec_exchange ~hooks ~size db plan parts child =
-  (* The fused child never runs as a standalone stream, so route the
-     merged fragment output through its instrumentation hook — its
-     EXPLAIN ANALYZE row then shows the rows its fragments produced
-     (operators deeper inside a fused σ/π chain still read zero).  Each
+and exec_exchange cx plan parts child =
+  (* The fused child never runs as a standalone stream, so the merged
+     fragment output goes through its observation point — its EXPLAIN
+     ANALYZE row then shows the rows its fragments produced.  Each
      fragment's whole output is one chunk.  Inputs are materialised
      before [t0], which starts the Exchange's own wall time. *)
   let emit outs =
-    hooks.observe plan "parts" parts;
-    hooks.around child (fun () ->
+    gauge cx plan "parts" parts;
+    observed cx child (fun () ->
         Seq.filter (fun c -> Array.length c > 0) (Array.to_seq outs))
   in
   match child with
   | Physical.Hash_join { left_keys; right_keys; residual; left; right; _ } ->
-      let lrows = concat_chunks (exec ~hooks ~size db left) in
-      let rrows = concat_chunks (exec ~hooks ~size db right) in
+      let lrows = concat_chunks (exec cx left) in
+      let rrows = concat_chunks (exec cx right) in
       let t0 = Trace.now_us () in
       let lb = partition ~parts ~keys:left_keys lrows in
       let rb = partition ~parts ~keys:right_keys rrows in
@@ -621,8 +623,8 @@ and exec_exchange ~hooks ~size db plan parts child =
                   lb.(i);
                 Vec.flush out)))
   | Physical.Hash_aggregate (attrs, aggs, src) ->
-      let g = grouping db src attrs aggs in
-      let rows = concat_chunks (exec ~hooks ~size db src) in
+      let g = grouping cx.db src attrs aggs in
+      let rows = concat_chunks (exec cx src) in
       let t0 = Trace.now_us () in
       let fragments =
         match attrs with
@@ -653,22 +655,58 @@ and exec_exchange ~hooks ~size db plan parts child =
           (on_pool ~out_rows:Array.length (fun groups ->
                Array.of_seq (finish_groups g groups)))
   | Physical.Filter _ | Physical.Project_op _ ->
-      let src, f = pipeline_stages child in
-      let rows = concat_chunks (exec ~hooks ~size db src) in
+      (* Each fragment runs the chain's stage kernels over its slice, a
+         chunk at a time, and tallies every stage's output in records of
+         its own; the coordinating domain adds them into the stages'
+         records, so no counter is shared across domains.  The top
+         stage is observed on the merged output by [emit]. *)
+      let src, stages = chain child [] in
+      let rows = concat_chunks (exec cx src) in
       let t0 = Trace.now_us () in
-      emit
-        (on_pool ~name:"scan-worker" ~t0 ~rows:(Array.length rows)
-           ~out_rows:Array.length
-           (Array.map
-              (fun slice () ->
-                let out = Vec.create 64 in
-                Array.iter (fun tn -> Option.iter (Vec.push out) (f tn)) slice;
-                Vec.flush out)
-              (slices parts rows)))
+      let fragment slice () =
+        let tallies = List.map (fun _ -> Metrics.make_op ()) stages in
+        let out = Vec.create 64 in
+        let n = Array.length slice in
+        let rec go lo =
+          if lo < n then begin
+            let c = Array.sub slice lo (min cx.size (n - lo)) in
+            let c =
+              List.fold_left2
+                (fun c (_, kernel) m ->
+                  let c = kernel c in
+                  ignore (tally m c);
+                  c)
+                c stages tallies
+            in
+            Array.iter (Vec.push out) c;
+            go (lo + cx.size)
+          end
+        in
+        go 0;
+        (Vec.flush out, tallies)
+      in
+      let outs =
+        on_pool ~name:"scan-worker" ~t0 ~rows:(Array.length rows)
+          ~out_rows:(fun (c, _) -> Array.length c)
+          (Array.map fragment (slices parts rows))
+      in
+      Array.iter
+        (fun (_, tallies) ->
+          List.iter2
+            (fun (stage, _) (m : Metrics.op) ->
+              if stage != child then begin
+                let into = find cx stage in
+                Metrics.add into.Metrics.elems (Metrics.count m.Metrics.elems);
+                Metrics.add into.Metrics.rows (Metrics.count m.Metrics.rows);
+                Metrics.add into.Metrics.cells (Metrics.count m.Metrics.cells)
+              end)
+            stages tallies)
+        outs;
+      emit (Array.map fst outs)
   | child ->
       (* The planner only wraps the shapes above; anything else is
          executed sequentially — Exchange is then a no-op. *)
-      exec ~hooks ~size db child
+      exec cx child
 
 let materialize db plan chunks =
   let schema = Typecheck.infer_db db (Physical.to_logical plan) in
@@ -682,42 +720,19 @@ let materialize db plan chunks =
   in
   Relation.of_bag_unchecked schema bag
 
-let resolve_size = function Some n -> max 1 n | None -> !chunk_ref
-
-let run ?chunk_size db plan =
-  let size = resolve_size chunk_size in
-  materialize db plan (exec ~hooks:(with_progress plan no_hooks) ~size db plan)
-
-let stream ?chunk_size db plan =
-  let size = resolve_size chunk_size in
-  Seq.concat_map Array.to_seq
-    (exec ~hooks:(with_progress plan no_hooks) ~size db plan)
-
-(* Hooks that invoke [tick] with every counted-tuple element every
-   operator emits, regardless of which operator it is. *)
-let tick_hooks tick =
-  { no_hooks with
-    around = (fun _ f -> Seq.map (fun c -> Array.iter tick c; c) (f ())) }
-
-let tuples_moved db plan =
-  let moved = ref 0 in
-  let s =
-    exec ~hooks:(tick_hooks (fun _ -> incr moved)) ~size:!chunk_ref db plan
-  in
-  Seq.iter (fun _ -> ()) s;
-  !moved
-
-let cells_moved db plan =
-  let moved = ref 0 in
-  let s =
-    exec
-      ~hooks:(tick_hooks (fun (t, _) -> moved := !moved + Tuple.arity t))
-      ~size:!chunk_ref db plan
-  in
-  Seq.iter (fun _ -> ()) s;
-  !moved
-
-let run_expr ?chunk_size db e = run ?chunk_size db (Planner.plan db e)
+(* Fold an execution into the cumulative per-operator registry that
+   [sys.operators] materializes.  Wall time is inclusive of children,
+   same convention as the EXPLAIN ANALYZE report rows. *)
+let feed_op_stats cx =
+  if Mxra_obs.Stmt_stats.enabled () then
+    List.iter
+      (fun (p, (m : Metrics.op)) ->
+        Mxra_obs.Op_stats.record ~op:(Physical.kind p)
+          ~elems:(Metrics.count m.Metrics.elems)
+          ~rows:(Metrics.count m.Metrics.rows)
+          ~cells:(Metrics.count m.Metrics.cells)
+          ~wall_ms:(Metrics.elapsed_ms m.Metrics.wall))
+      cx.ops
 
 (* --- instrumented execution ------------------------------------------- *)
 
@@ -731,9 +746,9 @@ type op_metrics = {
 
 type report = {
   node : Physical.t;
-  estimated_rows : float;
+  estimated_rows : float Lazy.t;
   actual : op_metrics;
-  q_error : float;
+  q_error : float Lazy.t;
   inputs : report list;
 }
 
@@ -744,97 +759,24 @@ type analysis = {
   totals : Metrics.t;
 }
 
-(* Per-node accounting keyed by physical identity: the planner allocates
-   a fresh node per tree position, so [==] distinguishes structurally
-   equal siblings.  (If a caller builds a plan with a physically shared
-   subtree, its uses merge into one record — the report then shows the
-   combined figures at each occurrence.) *)
-let op_table plan =
-  let table = ref [] in
-  let rec register p =
-    table := (p, Metrics.make_op ()) :: !table;
-    List.iter register (Physical.children p)
-  in
-  register plan;
-  let entries = !table in
-  fun p -> snd (List.find (fun (q, _) -> q == p) entries)
-
-(* Wrap a chunk stream so each pull is timed (inclusive of child pulls,
-   as in EXPLAIN ANALYZE's actual time) and each chunk's contents are
-   counted — element, row and cell totals are identical to what the
-   tuple-at-a-time engine reported, only the accounting granularity
-   changed.  [on_end] fires once, at the first exhaustion. *)
-let instrument_stream ?on_end (m : Metrics.op) s =
-  let ended = ref false in
-  let rec go s () =
-    match Metrics.record m.Metrics.wall s with
-    | Seq.Nil ->
-        (match on_end with
-        | Some f when not !ended ->
-            ended := true;
-            f ()
-        | Some _ | None -> ());
-        Seq.Nil
-    | Seq.Cons (c, rest) ->
-        Array.iter
-          (fun (t, n) ->
-            Metrics.incr m.Metrics.elems;
-            Metrics.add m.Metrics.rows n;
-            Metrics.add m.Metrics.cells (Tuple.arity t))
-          c;
-        Seq.Cons (c, go rest)
-  in
-  go s
-
-(* A traced operator's span runs from stream construction to stream
-   exhaustion — its lifetime in the pipeline, which in a lazy engine
-   contains the lifetimes of its children, so viewers nest the spans
-   correctly.  The span links to the operator's exact counters: emitted
-   rows/elements, the measured inclusive wall time, and the gauges. *)
-let op_span_attrs p (m : Metrics.op) =
-  ("label", Trace.Str (Physical.label p))
-  :: ("rows", Trace.Int (Metrics.count m.Metrics.rows))
-  :: ("elems", Trace.Int (Metrics.count m.Metrics.elems))
-  :: ("wall_ms", Trace.Float (Metrics.elapsed_ms m.Metrics.wall))
-  :: List.map (fun (k, v) -> (k, Trace.Int v)) (Metrics.details m)
-
 let run_instrumented ?chunk_size db plan =
-  let size = resolve_size chunk_size in
-  let find = op_table plan in
-  let traced = Trace.enabled () in
-  let hooks =
-    {
-      around =
-        (fun p thunk ->
-          let m = find p in
-          if traced then begin
-            let start_us = Trace.now_us () in
-            let on_end () =
-              Trace.complete (Physical.kind p) ~start_us
-                ~dur_us:(Trace.now_us () -. start_us)
-                ~attrs:(op_span_attrs p m)
-            in
-            instrument_stream ~on_end m (Metrics.record m.Metrics.wall thunk)
-          end
-          else instrument_stream m (Metrics.record m.Metrics.wall thunk));
-      observe = (fun p key v -> Metrics.set_detail (find p) key v);
-    }
-  in
-  let hooks = with_progress plan hooks in
+  let cx = context ?chunk_size db plan in
   let total = Metrics.make_timer () in
   let result =
     Metrics.record total (fun () ->
         Trace.with_span "execute"
           ~attrs:[ ("operators", Trace.Int (Physical.size plan)) ]
           (fun () ->
-            let r = materialize db plan (exec ~hooks ~size db plan) in
+            let r = materialize db plan (exec cx plan) in
             Trace.add_attr "rows" (Trace.Int (Relation.cardinal r));
             r))
   in
-  let stats = Stats.env_of_database db in
-  let schemas = Typecheck.env_of_database db in
+  feed_op_stats cx;
+  (* Estimates cost a statistics pass over the database: it runs once,
+     when the first estimate is read. *)
+  let env = lazy (Stats.env_of_database db, Typecheck.env_of_database db) in
   let rec report_of p =
-    let m = find p in
+    let m = find cx p in
     let actual =
       {
         out_elems = Metrics.count m.Metrics.elems;
@@ -845,40 +787,46 @@ let run_instrumented ?chunk_size db plan =
       }
     in
     let estimated_rows =
-      Cost.estimate_cardinality ~stats ~schemas (Physical.to_logical p)
+      lazy
+        (let stats, schemas = Lazy.force env in
+         Cost.estimate_cardinality ~stats ~schemas (Physical.to_logical p))
     in
     {
       node = p;
       estimated_rows;
       actual;
-      q_error = Cost.q_error ~estimated:estimated_rows ~actual:actual.out_rows;
+      q_error =
+        lazy
+          (Cost.q_error ~estimated:(Lazy.force estimated_rows)
+             ~actual:actual.out_rows);
       inputs = List.map report_of (Physical.children p);
     }
   in
   let root = report_of plan in
   let totals = Metrics.create () in
-  let rec accumulate r =
-    Metrics.add (Metrics.counter totals "tuples-moved") r.actual.out_elems;
-    Metrics.add (Metrics.counter totals "cells-moved") r.actual.out_cells;
-    List.iter accumulate r.inputs
+  let sum f =
+    List.fold_left (fun acc (_, m) -> acc + Metrics.count (f m)) 0 cx.ops
   in
-  accumulate root;
+  Metrics.add (Metrics.counter totals "tuples-moved")
+    (sum (fun m -> m.Metrics.elems));
+  Metrics.add (Metrics.counter totals "cells-moved")
+    (sum (fun m -> m.Metrics.cells));
   Metrics.add (Metrics.counter totals "rows-out") root.actual.out_rows;
   Metrics.add (Metrics.counter totals "operators") (Physical.size plan);
   Metrics.add_ms (Metrics.timer totals "wall") (Metrics.elapsed_ms total);
-  (* Fold this execution into the cumulative per-operator registry
-     that [sys.operators] materializes.  Wall time is inclusive of
-     children, same convention as the EXPLAIN ANALYZE report rows. *)
-  if Mxra_obs.Stmt_stats.enabled () then begin
-    let rec feed r =
-      Mxra_obs.Op_stats.record ~op:(Physical.kind r.node)
-        ~elems:r.actual.out_elems ~rows:r.actual.out_rows
-        ~cells:r.actual.out_cells ~wall_ms:r.actual.wall_ms;
-      List.iter feed r.inputs
-    in
-    feed root
-  end;
   { result; total_ms = Metrics.elapsed_ms total; root; totals }
+
+let run ?chunk_size db plan = (run_instrumented ?chunk_size db plan).result
+
+let stream ?chunk_size db plan =
+  let cx = context ?chunk_size db plan in
+  Seq.append
+    (Seq.concat_map Array.to_seq (exec cx plan))
+    (fun () ->
+      feed_op_stats cx;
+      Seq.Nil)
+
+let run_expr ?chunk_size db e = run ?chunk_size db (Planner.plan db e)
 
 let explain_analyze ?chunk_size ?jobs db e =
   run_instrumented ?chunk_size db (Planner.plan ?jobs db e)
@@ -905,8 +853,9 @@ let pp_analysis ppf a =
   let lookup = annot_table a.root in
   let annot p =
     let r = lookup p in
-    Format.asprintf "(est=%.0f act=%d q=%.2f time=%.2fms%a)" r.estimated_rows
-      r.actual.out_rows r.q_error r.actual.wall_ms pp_details
+    Format.asprintf "(est=%.0f act=%d q=%.2f time=%.2fms%a)"
+      (Lazy.force r.estimated_rows) r.actual.out_rows (Lazy.force r.q_error)
+      r.actual.wall_ms pp_details
       r.actual.details
   in
   Format.fprintf ppf "@[<v>%a@]total: %.2f ms, %d rows"

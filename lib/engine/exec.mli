@@ -38,10 +38,26 @@ val chunk_size : unit -> int
 val set_chunk_size : int -> unit
 (** Set the process-wide default; values below 1 are clamped to 1. *)
 
-(** {1 Execution} *)
+(** {1 Execution}
+
+    There is one way to run a plan.  Every operator's output passes
+    through one observation point that, chunk by chunk, tallies the
+    counted-tuple elements, tuples (with multiplicity) and cells it
+    emits and its inclusive wall time into that operator's record.
+    Because the engine runs on the paper's counted representation
+    [(x, E(x))], the accounting is exact, not sampled.  The same records
+    feed everything that reports on an execution: the EXPLAIN ANALYZE
+    {!report}, the per-operator trace spans (when tracing is on), the
+    cumulative [sys.operators] registry ({!Mxra_obs.Op_stats}, gated by
+    {!Mxra_obs.Stmt_stats.enabled}), the live progress of the ambient
+    activity-registry slot ({!Mxra_obs.Ash.with_slot}: the producing
+    operator, and the rows leaving the root) and the plan-wide totals.
+    {!run}, {!stream} and {!run_instrumented} differ only in what they
+    return. *)
 
 val run : ?chunk_size:int -> Database.t -> Physical.t -> Relation.t
-(** Execute a plan to a materialised relation.
+(** Execute a plan to a materialised relation: the [result] of
+    {!run_instrumented}.
     @raise Database.Unknown_relation on a scan of an absent name.
     @raise Typecheck.Type_error if the plan's logical image is ill-typed.
     @raise Scalar.Eval_error / [Aggregate.Undefined] on dynamic failure. *)
@@ -53,18 +69,8 @@ val run_expr : ?chunk_size:int -> Database.t -> Expr.t -> Relation.t
 val stream : ?chunk_size:int -> Database.t -> Physical.t -> (Tuple.t * int) Seq.t
 (** The raw counted-tuple stream of a plan (chunks flattened), without
     final materialisation; multiplicities of equal tuples may be split
-    across several elements. *)
-
-val tuples_moved : Database.t -> Physical.t -> int
-(** Execute while counting every counted-tuple element that crosses an
-    operator boundary — the measured counterpart of {!Cost.cost}'s
-    estimate. *)
-
-val cells_moved : Database.t -> Physical.t -> int
-(** Like {!tuples_moved} but weighted by tuple arity: the data {e
-    volume} crossing operator boundaries.  This is the quantity
-    Example 3.2's early projection reduces — narrower intermediates —
-    and what the intermediate-size experiment (E5) reports. *)
+    across several elements.  [sys.operators] is fed once the stream is
+    exhausted. *)
 
 (** {1 Partitioning}
 
@@ -91,14 +97,12 @@ val work_balance : (Tuple.t * int) array array -> float
 
 (** {1 Instrumented execution — EXPLAIN ANALYZE}
 
-    Every physical operator records what it actually did: counted-tuple
-    elements and tuples (with multiplicity) emitted, cells moved, wall
-    time, and operator-specific gauges (hash-build sizes, group counts,
-    materialised inner cardinalities).  Because the engine runs on the
-    paper's counted representation [(x, E(x))], the cardinality
-    accounting is exact, not sampled.  Instrumentation must not perturb
-    bag semantics: [run_instrumented db p] returns the same relation as
-    [run db p] — checked property-style by the test suite. *)
+    The per-operator records of one execution, as a tree, with the
+    optimizer's estimate next to each operator's actual rows.  Estimates
+    cost a statistics pass over the database, so they are lazy: the pass
+    runs once, when the first estimate or q-error is forced (rendering
+    with {!pp_analysis} forces them), and never when nothing reads
+    them. *)
 
 type op_metrics = {
   out_elems : int;  (** counted-tuple elements emitted *)
@@ -112,11 +116,11 @@ type op_metrics = {
 
 type report = {
   node : Physical.t;
-  estimated_rows : float;
+  estimated_rows : float Lazy.t;
       (** the optimizer's estimate ({!Cost.estimate_cardinality}) for
           this operator's logical image, from the database's statistics *)
   actual : op_metrics;
-  q_error : float;  (** {!Cost.q_error} of estimated vs actual rows *)
+  q_error : float Lazy.t;  (** {!Cost.q_error} of estimated vs actual rows *)
   inputs : report list;
 }
 
@@ -125,14 +129,19 @@ type analysis = {
   total_ms : float;
   root : report;
   totals : Metrics.t;
-      (** plan-wide aggregates: [tuples-moved], [cells-moved],
-          [rows-out], [operators], [wall] *)
+      (** plan-wide aggregates: [tuples-moved] (the elements every
+          operator emitted — the measured counterpart of {!Cost.cost}'s
+          estimate), [cells-moved] (the same weighted by arity: the data
+          volume Example 3.2's early projection reduces), [rows-out],
+          [operators], [wall] *)
 }
 
 val run_instrumented : ?chunk_size:int -> Database.t -> Physical.t -> analysis
-(** Execute with per-operator metrics.  Same result and same raising
-    behaviour as {!run}; element/row/cell counts are independent of the
-    chunk size. *)
+(** Execute and return the result with its per-operator report and
+    totals.  Same raising behaviour as {!run}; element/row/cell counts
+    are independent of the chunk size.  Under an Exchange, the stages of
+    a fused σ/π chain are counted per fragment and summed on the
+    coordinating domain. *)
 
 val explain_analyze : ?chunk_size:int -> ?jobs:int -> Database.t -> Expr.t -> analysis
 (** Plan (with {!Planner.plan}, forwarding [jobs]) and

@@ -1,7 +1,7 @@
 (** Lightweight execution metrics.
 
     Monotonic counters and wall-clock duration accumulators, plus the
-    per-operator record the instrumented executor fills in.  The only
+    per-operator record the executor fills in.  The only
     dependency is [Unix.gettimeofday]; there is no background thread,
     no sampling — every figure is an exact count or a measured
     accumulation, in the spirit of the counted-tuple representation
@@ -59,7 +59,8 @@ val prometheus : ?prefix:string -> t -> string
 
 (** {1 Per-operator accounting}
 
-    What the instrumented executor records at every physical operator. *)
+    What the executor records at every physical operator, on every
+    execution. *)
 
 type op = {
   elems : counter;  (** counted-tuple elements emitted *)

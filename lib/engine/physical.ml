@@ -29,14 +29,6 @@ type t =
       left : t;
       right : t;
     }
-  | Merge_join of {
-      left_keys : int list;
-      right_keys : int list;
-      left_arity : int;
-      residual : Pred.t;
-      left : t;
-      right : t;
-    }
   | Nested_loop of Pred.t * t * t
   | Cross_product of t * t
   | Union_all of t * t
@@ -92,8 +84,7 @@ let rec to_logical plan =
           to_logical outer, Expr.Rel def.idx_rel )
   | Filter (p, t) -> Expr.Select (p, to_logical t)
   | Project_op (exprs, t) -> Expr.Project (exprs, to_logical t)
-  | Hash_join { left_keys; right_keys; left_arity; residual; left; right }
-  | Merge_join { left_keys; right_keys; left_arity; residual; left; right } ->
+  | Hash_join { left_keys; right_keys; left_arity; residual; left; right } ->
       let key_conds =
         List.map2
           (fun i j -> Pred.eq (Scalar.attr i) (Scalar.attr (j + left_arity)))
@@ -119,7 +110,7 @@ let rec size = function
   | Hash_aggregate (_, _, t)
   | Exchange { child = t; _ } ->
       1 + size t
-  | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
+  | Hash_join { left; right; _ } ->
       1 + size left + size right
   | Nested_loop (_, l, r)
   | Cross_product (l, r)
@@ -137,7 +128,7 @@ let rec exchange_count plan =
   | Hash_aggregate (_, _, t)
   | Exchange { child = t; _ } ->
       own + exchange_count t
-  | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
+  | Hash_join { left; right; _ } ->
       own + exchange_count left + exchange_count right
   | Nested_loop (_, l, r)
   | Cross_product (l, r)
@@ -153,7 +144,7 @@ let children = function
   | Hash_aggregate (_, _, t)
   | Exchange { child = t; _ } ->
       [ t ]
-  | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
+  | Hash_join { left; right; _ } ->
       [ left; right ]
   | Nested_loop (_, l, r)
   | Cross_product (l, r)
@@ -170,7 +161,6 @@ let kind = function
   | Filter _ -> "Filter"
   | Project_op _ -> "Project"
   | Hash_join _ -> "HashJoin"
-  | Merge_join _ -> "MergeJoin"
   | Nested_loop _ -> "NestedLoop"
   | Cross_product _ -> "CrossProduct"
   | Union_all _ -> "UnionAll"
@@ -213,9 +203,6 @@ let label plan =
         exprs
   | Hash_join { left_keys; right_keys; residual; _ } ->
       Format.asprintf "HashJoin keys=%a=%a residual=[%a]" pp_keys left_keys
-        pp_keys right_keys Pred.pp residual
-  | Merge_join { left_keys; right_keys; residual; _ } ->
-      Format.asprintf "MergeJoin keys=%a=%a residual=[%a]" pp_keys left_keys
         pp_keys right_keys Pred.pp residual
   | Nested_loop (p, _, _) -> Format.asprintf "NestedLoop [%a]" Pred.pp p
   | Cross_product _ -> "CrossProduct"

@@ -57,17 +57,6 @@ type t =
       left : t;
       right : t;
     }
-  | Merge_join of {
-      left_keys : int list;
-      right_keys : int list;
-      left_arity : int;
-      residual : Pred.t;
-      left : t;
-      right : t;
-    }
-      (** Equi-join by sorting both inputs on their keys and merging —
-          the classic alternative to hashing; the planner can be asked
-          for it and the benchmarks compare the two. *)
   | Nested_loop of Pred.t * t * t
       (** General θ-join: condition over the concatenated schema. *)
   | Cross_product of t * t

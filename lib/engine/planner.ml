@@ -13,10 +13,6 @@ let join_keys ~left_arity p =
   in
   (List.rev keys, Pred.simplify (Pred.conj (List.rev residual)))
 
-type join_algorithm =
-  | Hash
-  | Merge
-
 (* --- index access-path extraction --------------------------------------- *)
 
 (* MXRA_FORCE_INDEX=1 makes the planner take an index path whenever a
@@ -172,15 +168,15 @@ let choose_index_scan ~stats ~schemas ~indexes name p =
              { def; access; residual = Pred.simplify (Pred.conj residual_conjs) })
       else None
 
-let rec translate ~join_algorithm ~stats ~indexes env e =
-  let recur = translate ~join_algorithm ~stats ~indexes env in
+let rec translate ~stats ~indexes env e =
+  let recur = translate ~stats ~indexes env in
   match e with
   | Expr.Rel name -> Physical.Seq_scan name
   | Expr.Const r -> Physical.Const_scan r
   | Expr.Select (p, Expr.Product (e1, e2)) ->
       (* σ(E1 × E2) = E1 ⋈ E2 (Theorem 3.1): give the selection a chance
          to become join keys. *)
-      translate_join ~join_algorithm ~stats ~indexes env p e1 e2
+      translate_join ~stats ~indexes env p e1 e2
   | Expr.Select (p, (Expr.Rel name as e1)) -> (
       match choose_index_scan ~stats ~schemas:env ~indexes name p with
       | Some node -> node
@@ -192,15 +188,15 @@ let rec translate ~join_algorithm ~stats ~indexes env e =
   | Expr.Intersect (e1, e2) -> Physical.Hash_intersect (recur e1, recur e2)
   | Expr.Product (e1, e2) -> Physical.Cross_product (recur e1, recur e2)
   | Expr.Join (p, e1, e2) ->
-      translate_join ~join_algorithm ~stats ~indexes env p e1 e2
+      translate_join ~stats ~indexes env p e1 e2
   | Expr.Unique e1 -> Physical.Hash_distinct (recur e1)
   | Expr.GroupBy (attrs, aggs, e1) ->
       Physical.Hash_aggregate (attrs, aggs, recur e1)
 
-and translate_join ~join_algorithm ~stats ~indexes env p e1 e2 =
+and translate_join ~stats ~indexes env p e1 e2 =
   let left_arity = Schema.arity (Typecheck.infer env e1) in
   let keys, residual = join_keys ~left_arity p in
-  let left = translate ~join_algorithm ~stats ~indexes env e1 in
+  let left = translate ~stats ~indexes env e1 in
   (* An index nested-loop candidate: the inner operand is a base
      relation with an index whose every column is equated (by [keys])
      with some outer attribute.  Unconsumed key equalities rejoin the
@@ -265,25 +261,19 @@ and translate_join ~join_algorithm ~stats ~indexes env p e1 e2 =
   match index_join_candidate () with
   | Some node -> node
   | None -> (
-      let right = translate ~join_algorithm ~stats ~indexes env e2 in
+      let right = translate ~stats ~indexes env e2 in
       match keys with
       | [] -> Physical.Nested_loop (p, left, right)
-      | _ :: _ -> (
+      | _ :: _ ->
           let left_keys = List.map fst keys
           and right_keys = List.map snd keys in
-          match join_algorithm with
-          | Hash ->
-              Physical.Hash_join
-                { left_keys; right_keys; left_arity; residual; left; right }
-          | Merge ->
-              Physical.Merge_join
-                { left_keys; right_keys; left_arity; residual; left; right }))
+          Physical.Hash_join
+            { left_keys; right_keys; left_arity; residual; left; right })
 
-let plan_with ?(join_algorithm = Hash) ?(stats = fun _ -> None)
-    ?(indexes = fun _ -> []) env e =
+let plan_with ?(stats = fun _ -> None) ?(indexes = fun _ -> []) env e =
   (* Full static check up front so translation can trust schemas. *)
   ignore (Typecheck.infer env e);
-  translate ~join_algorithm ~stats ~indexes env e
+  translate ~stats ~indexes env e
 
 (* --- parallelization pass ----------------------------------------------- *)
 
@@ -368,8 +358,6 @@ let parallelize ~stats ~schemas ~jobs ?cores ?threshold plan =
       | Physical.Hash_aggregate (attrs, aggs, src) ->
           let node = Physical.Hash_aggregate (attrs, aggs, go src) in
           if est src >= thr then exchange node else node
-      | Physical.Merge_join ({ left; right; _ } as j) ->
-          Physical.Merge_join { j with left = go left; right = go right }
       | Physical.Nested_loop (p, l, r) -> Physical.Nested_loop (p, go l, go r)
       | Physical.Cross_product (l, r) -> Physical.Cross_product (go l, go r)
       | Physical.Union_all (l, r) -> Physical.Union_all (go l, go r)
@@ -381,12 +369,12 @@ let parallelize ~stats ~schemas ~jobs ?cores ?threshold plan =
     in
     go plan
 
-let plan ?join_algorithm ?(jobs = 1) ?cores ?parallel_threshold db e =
+let plan ?(jobs = 1) ?cores ?parallel_threshold db e =
   Mxra_obs.Trace.with_span "plan" (fun () ->
       let schemas = Typecheck.env_of_database db in
       let stats = Stats.env_of_database db in
       let p =
-        plan_with ?join_algorithm ~stats
+        plan_with ~stats
           ~indexes:(fun name -> Database.indexes_on name db)
           schemas e
       in

@@ -14,12 +14,7 @@
 open Mxra_relational
 open Mxra_core
 
-type join_algorithm =
-  | Hash  (** Build a hash table on the right operand (the default). *)
-  | Merge  (** Sort both operands on the keys and merge. *)
-
 val plan :
-  ?join_algorithm:join_algorithm ->
   ?jobs:int ->
   ?cores:int ->
   ?parallel_threshold:int ->
@@ -65,7 +60,6 @@ val parallelize :
     term. *)
 
 val plan_with :
-  ?join_algorithm:join_algorithm ->
   ?stats:Stats.env ->
   ?indexes:(string -> Database.index_def list) ->
   Typecheck.env ->

@@ -1,6 +1,6 @@
-(* Cumulative per-operator statistics: every instrumented execution
-   folds each physical operator's figures into a process-wide registry
-   keyed by operator kind ("HashJoin", "Filter", ...).  This is the
+(* Cumulative per-operator statistics: every plan execution folds each
+   physical operator's figures into a process-wide registry keyed by
+   operator kind ("HashJoin", "Filter", ...).  This is the
    materialization source for the [sys.operators] virtual relation and
    shares {!Stmt_stats}'s enabled switch so E17's disabled baseline
    turns both registries off with one flag. *)

@@ -1,7 +1,8 @@
 (** Cumulative per-operator statistics — the [sys.operators] source.
 
-    Fed by [Exec.run_instrumented]: one {!record} per physical operator
-    per instrumented execution, keyed by operator kind.  Gated by
+    Fed by every plan execution ([Exec.run], [Exec.stream],
+    [Exec.run_instrumented]): one {!record} per physical operator per
+    execution, keyed by operator kind.  Gated by
     {!Stmt_stats.enabled} so one switch controls both registries. *)
 
 type row = {

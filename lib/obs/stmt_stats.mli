@@ -28,7 +28,7 @@ val record :
 (** [record ~wall_ms text] folds one execution of [text] into its
     fingerprint's entry.  [lang] tags the front-end (["xra"] /
     ["sql"], default ["xra"]); [rows] is the result cardinality;
-    [tuples] the executor's tuples-moved total when instrumented.
+    [tuples] the executor's tuples-moved total.
     [qid], when given, is stamped as the entry's [last_qid], drains
     any WAL-byte / lock-wait attribution that arrived under that qid
     before the statement finished, and keeps the qid resolvable for

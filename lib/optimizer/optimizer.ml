@@ -238,7 +238,10 @@ let explain_db db e =
   let stats = Stats.env_of_database db in
   let schemas = Typecheck.env_of_database db in
   let optimized, report = explain ~stats ~schemas e in
-  let moved e = Exec.tuples_moved db (Planner.plan db e) in
+  let moved e =
+    let a = Exec.run_instrumented db (Planner.plan db e) in
+    Metrics.count (Metrics.counter a.Exec.totals "tuples-moved")
+  in
   ( optimized,
     { report with
       input_moved = Some (moved e);

@@ -41,7 +41,8 @@ type report = {
   output_size : int;
   input_moved : int option;
       (** Realized cost: counted-tuple traffic measured by executing the
-          unoptimized plan ({!Mxra_engine.Exec.tuples_moved}); [None]
+          unoptimized plan (the [tuples-moved] total of
+          {!Mxra_engine.Exec.run_instrumented}); [None]
           when the report is purely static ({!explain}). *)
   output_moved : int option;  (** Same, for the optimized plan. *)
 }

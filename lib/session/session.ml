@@ -29,7 +29,7 @@ let make ?(optimize = true) ?(jobs = 1) ?isolation ?(seed = 42) ?store () =
   { optimize; jobs; isolation; seed; store }
 
 type outcome =
-  | Rows of Relation.t * Engine.Exec.analysis option
+  | Rows of Engine.Exec.analysis
   | Committed
   | Aborted of string
   | Created of string * Schema.t
@@ -53,7 +53,7 @@ let with_statement ~lang ~text ~span ~attrs f =
     ~attrs:(attrs @ [ ("text", Trace.Str text) ])
     (fun () -> f qid slot)
 
-let query ?(lang = "xra") ?(instrument = false) t db e =
+let query ?(lang = "xra") t db e =
   let text = Expr.to_string e in
   with_statement ~lang ~text ~span:"query"
     ~attrs:[ ("lang", Trace.Str lang) ]
@@ -76,34 +76,20 @@ let query ?(lang = "xra") ?(instrument = false) t db e =
     with _ -> ()
   end;
   Obs.Ash.with_slot slot @@ fun () ->
-  let record ?tuples ~wall_ms r =
-    let rows = Relation.cardinal r in
-    Obs.Stmt_stats.record ~lang ~qid ~rows ?tuples ~wall_ms text;
-    Trace.add_attr "rows" (Trace.Int rows)
-  in
-  if instrument || Trace.enabled () then begin
-    (* One instrumented run yields the result, the timing and the tuple
-       traffic — no second execution to count what already happened.
-       The same run feeds the per-operator trace spans. *)
-    let a = Engine.Exec.run_instrumented db plan in
-    record a.result ~wall_ms:a.total_ms
-      ~tuples:
-        (Engine.Metrics.count
-           (Engine.Metrics.counter a.totals "tuples-moved"));
-    (a.result, Some a)
-  end
-  else begin
-    let t0 = Trace.now_us () in
-    let r = Engine.Exec.run db plan in
-    record r ~wall_ms:((Trace.now_us () -. t0) /. 1000.0);
-    (r, None)
-  end
+  (* One run yields the result, the timing and the tuple traffic — the
+     same figures whatever the front end chooses to print. *)
+  let a = Engine.Exec.run_instrumented db plan in
+  let rows = Relation.cardinal a.Engine.Exec.result in
+  Obs.Stmt_stats.record ~lang ~qid ~rows
+    ~tuples:
+      (Engine.Metrics.count (Engine.Metrics.counter a.totals "tuples-moved"))
+    ~wall_ms:a.total_ms text;
+  Trace.add_attr "rows" (Trace.Int rows);
+  a
 
-let statement ?instrument t db stmt =
+let statement t db stmt =
   match stmt with
-  | Statement.Query e ->
-      let r, a = query ?instrument t db e in
-      (db, Rows (r, a))
+  | Statement.Query e -> (db, Rows (query t db e))
   | Statement.Insert (name, _) | Statement.Delete (name, _)
   | Statement.Update (name, _, _) | Statement.Assign (name, _) -> (
       (* The catalog is read-only: writing a sys.* name is refused
@@ -159,8 +145,8 @@ let ddl t db =
     t.store;
   db
 
-let command ?instrument t db = function
-  | Xra.Parser.Cmd_statement stmt -> statement ?instrument t db stmt
+let command t db = function
+  | Xra.Parser.Cmd_statement stmt -> statement t db stmt
   | Xra.Parser.Cmd_transaction program ->
       let r = batch t db [ program ] in
       (r.Scheduler.final, Batch r)
@@ -177,12 +163,10 @@ let command ?instrument t db = function
   | Xra.Parser.Cmd_drop_index name ->
       (ddl t (Database.drop_index name db), Dropped_index name)
 
-let sql ?instrument t db ast =
+let sql t db ast =
   match Sql.Translate.translate (Syscat.env db) ast with
-  | Sql.Translate.Query e ->
-      let r, a = query ~lang:"sql" ?instrument t db e in
-      (db, Rows (r, a))
-  | Sql.Translate.Statement stmt -> statement ?instrument t db stmt
+  | Sql.Translate.Query e -> (db, Rows (query ~lang:"sql" t db e))
+  | Sql.Translate.Statement stmt -> statement t db stmt
   | Sql.Translate.Create (name, schema) ->
       command t db (Xra.Parser.Cmd_create (name, schema))
   | Sql.Translate.Create_index d -> command t db (Xra.Parser.Cmd_create_index d)

@@ -33,8 +33,8 @@ val make :
     Also wires the scheduler's counters as the [sys.locks] probe. *)
 
 type outcome =
-  | Rows of Relation.t * Mxra_engine.Exec.analysis option
-      (** A query's result; the analysis when it ran instrumented. *)
+  | Rows of Mxra_engine.Exec.analysis
+      (** A query's result, with its per-operator report and totals. *)
   | Committed  (** A data statement committed. *)
   | Aborted of string  (** A data statement aborted, with the reason. *)
   | Created of string * Schema.t
@@ -44,19 +44,14 @@ type outcome =
       (** Transaction brackets; the new state is its [final]. *)
 
 val query :
-  ?lang:string ->
-  ?instrument:bool ->
-  t ->
-  Database.t ->
-  Expr.t ->
-  Relation.t * Mxra_engine.Exec.analysis option
+  ?lang:string -> t -> Database.t -> Expr.t -> Mxra_engine.Exec.analysis
 (** Run a query under a fresh query id, in a [query] span tagged with
     [lang] (default ["xra"]), with [sys.*] attached, and record it in
-    the statement statistics.  It runs instrumented when [instrument]
-    is set or tracing is on. *)
+    the statement statistics — its rows, wall time and [tuples-moved]
+    total, and one [sys.operators] entry per operator.  The result is
+    the analysis' [result]; what to print is the front end's choice. *)
 
-val statement :
-  ?instrument:bool -> t -> Database.t -> Statement.t -> Database.t * outcome
+val statement : t -> Database.t -> Statement.t -> Database.t * outcome
 (** A query runs as {!query}.  A data statement writing a [sys.*] name
     raises {!Mxra_engine.Syscat.Reserved} before any transaction
     machinery sees it; otherwise it runs as a one-statement transaction
@@ -68,22 +63,12 @@ val batch :
 (** Transaction brackets as one scheduler batch; with a store, the
     committed ones are logged in commit order as one group commit. *)
 
-val command :
-  ?instrument:bool ->
-  t ->
-  Database.t ->
-  Mxra_xra.Parser.command ->
-  Database.t * outcome
+val command : t -> Database.t -> Mxra_xra.Parser.command -> Database.t * outcome
 (** One XRA command: a {!statement}, a bracket as a {!batch} of one, or
     a schema change with [sys.*] names reserved.  With a store a schema
     change checkpoints at once, since the log cannot record it. *)
 
-val sql :
-  ?instrument:bool ->
-  t ->
-  Database.t ->
-  Mxra_sql.Sql_ast.stmt ->
-  Database.t * outcome
+val sql : t -> Database.t -> Mxra_sql.Sql_ast.stmt -> Database.t * outcome
 (** Translate (with the [sys.*] schemas in scope) and run as the
     matching {!command}; a [SELECT] is a query tagged ["sql"]. *)
 
@@ -99,7 +84,7 @@ val explain : ?realize:bool -> Database.t -> Expr.t -> explained
     both plans to measure their tuple traffic. *)
 
 val analyze : t -> explained -> string * Mxra_engine.Exec.analysis
-(** Run the plan instrumented under a fresh query id (returned). *)
+(** Run the plan under a fresh query id (returned). *)
 
 val describe : exn -> string option
 (** The one-line message for every documented error: XRA and SQL lex

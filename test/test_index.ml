@@ -314,7 +314,7 @@ let test_index_q_error () =
         let a = Engine.Exec.explain_analyze db e in
         Alcotest.(check bool) "runs on an index path" true
           (plan_has is_index_scan a.Engine.Exec.root.Engine.Exec.node);
-        a.Engine.Exec.root.Engine.Exec.q_error)
+        Lazy.force a.Engine.Exec.root.Engine.Exec.q_error)
       queries
   in
   let mean_q =

@@ -199,10 +199,9 @@ let diff_db seed =
     Database.of_relations
       [ ("a", a); ("b", b); ("c", c); ("f", float_bag seed) ] )
 
-(* One expression per physical operator (the planner maps the join to
-   Hash_join or Merge_join depending on [join_algorithm], the non-equi
-   join to Nested_loop); [operator_coverage] below pins that this list
-   really does reach every constructor. *)
+(* One expression per physical operator (the planner maps the equi-join
+   to Hash_join, the non-equi join to Nested_loop); [operator_coverage]
+   below pins that this list really does reach every constructor. *)
 let operator_exprs a =
   let eq13 = Pred.eq (Scalar.attr 1) (Scalar.attr 3) in
   let j = Expr.join eq13 (Expr.rel "b") (Expr.rel "c") in
@@ -247,14 +246,10 @@ let merge_exprs =
 
 let differential_exprs a = operator_exprs a @ merge_exprs
 
-let all_plans ~jobs db e =
-  List.map
-    (fun join_algorithm ->
-      (* [cores:jobs] so the plan shape is host-independent; threshold 0
-         forces Exchange above every eligible operator when jobs > 1. *)
-      Engine.Planner.plan ~join_algorithm ~jobs ~cores:jobs
-        ~parallel_threshold:0 db e)
-    [ Engine.Planner.Hash; Engine.Planner.Merge ]
+(* [cores:jobs] so the plan shape is host-independent; threshold 0
+   forces Exchange above every eligible operator when jobs > 1. *)
+let forced_plan ~jobs db e =
+  Engine.Planner.plan ~jobs ~cores:jobs ~parallel_threshold:0 db e
 
 let test_operator_coverage () =
   let a, db = diff_db 0 in
@@ -266,7 +261,7 @@ let test_operator_coverage () =
   in
   let reached =
     List.concat_map
-      (fun e -> List.concat_map (fun p -> kinds p []) (all_plans ~jobs:4 db e))
+      (fun e -> kinds (forced_plan ~jobs:4 db e) [])
       (operator_exprs a)
   in
   List.iter
@@ -275,9 +270,9 @@ let test_operator_coverage () =
         ("differential harness reaches " ^ k)
         true (List.mem k reached))
     [
-      "ConstScan"; "SeqScan"; "Filter"; "Project"; "HashJoin"; "MergeJoin";
-      "NestedLoop"; "CrossProduct"; "UnionAll"; "HashDiff"; "HashIntersect";
-      "HashDistinct"; "HashAggregate"; "Exchange";
+      "ConstScan"; "SeqScan"; "Filter"; "Project"; "HashJoin"; "NestedLoop";
+      "CrossProduct"; "UnionAll"; "HashDiff"; "HashIntersect"; "HashDistinct";
+      "HashAggregate"; "Exchange";
     ];
   (* Each merge shape really runs under an Exchange, and the two-key
      join really hashes on both keys. *)
@@ -287,7 +282,7 @@ let test_operator_coverage () =
   in
   List.iteri
     (fun i e ->
-      let plan = List.hd (all_plans ~jobs:4 db e) in
+      let plan = forced_plan ~jobs:4 db e in
       Alcotest.(check bool)
         ("Exchange above " ^ Expr.to_string e)
         true
@@ -307,14 +302,12 @@ let chunked_operators_match_eval =
              let expected = Eval.eval db e in
              List.for_all
                (fun jobs ->
+                 let plan = forced_plan ~jobs db e in
                  List.for_all
-                   (fun plan ->
-                     List.for_all
-                       (fun chunk_size ->
-                         Relation.equal expected
-                           (Engine.Exec.run ~chunk_size db plan))
-                       chunk_sizes)
-                   (all_plans ~jobs db e))
+                   (fun chunk_size ->
+                     Relation.equal expected
+                       (Engine.Exec.run ~chunk_size db plan))
+                   chunk_sizes)
                jobs_list)
            (differential_exprs a)))
 
@@ -354,13 +347,11 @@ let check_chunked_equals_eval name db e =
     (fun chunk_size ->
       List.iter
         (fun jobs ->
-          List.iter
-            (fun plan ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s (chunk=%d, jobs=%d)" name chunk_size jobs)
-                true
-                (Relation.equal expected (Engine.Exec.run ~chunk_size db plan)))
-            (all_plans ~jobs db e))
+          let plan = forced_plan ~jobs db e in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s (chunk=%d, jobs=%d)" name chunk_size jobs)
+            true
+            (Relation.equal expected (Engine.Exec.run ~chunk_size db plan)))
         jobs_list)
     (chunk_sizes @ [ Engine.Exec.default_chunk_size ])
 
@@ -484,10 +475,6 @@ let exchange_shapes =
     ("agg-worker", Expr.group_by [] [ (Aggregate.Sum, 2) ] (Expr.rel "a"));
   ]
 
-let forced_exchange db e =
-  Engine.Planner.plan ~join_algorithm:Engine.Planner.Hash ~jobs:4 ~cores:4
-    ~parallel_threshold:0 db e
-
 let test_exchange_worker_spans () =
   let _, db = diff_db 5 in
   List.iter
@@ -501,7 +488,7 @@ let test_exchange_worker_spans () =
           };
         ];
       Fun.protect ~finally:Mxra_obs.Trace.close (fun () ->
-          ignore (Engine.Exec.run db (forced_exchange db e)));
+          ignore (Engine.Exec.run db (forced_plan ~jobs:4 db e)));
       Alcotest.(check int)
         (worker ^ " span per fragment: " ^ Expr.to_string e)
         4
@@ -513,7 +500,7 @@ let test_exchange_feeds_back () =
   Engine.Feedback.reset ();
   List.iter
     (fun (_, e) ->
-      let plan = forced_exchange db e in
+      let plan = forced_plan ~jobs:4 db e in
       let before = Engine.Feedback.observations () in
       ignore (Engine.Exec.run db plan);
       Alcotest.(check int)

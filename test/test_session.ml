@@ -23,16 +23,14 @@ let test_paper_examples () =
     (fun (name, e) ->
       let expected = Eval.eval W.Beer.tiny e in
       List.iter
-        (fun (optimize, instrument) ->
+        (fun optimize ->
           let s = Session.make ~optimize () in
-          let r, analysis = Session.query ~instrument s W.Beer.tiny e in
+          let a = Session.query s W.Beer.tiny e in
           Alcotest.(check bool)
-            (Printf.sprintf "%s (optimize=%b instrument=%b)" name optimize
-               instrument)
-            true (Relation.equal r expected);
-          Alcotest.(check bool) "analysis iff instrumented" instrument
-            (Option.is_some analysis))
-        [ (true, false); (true, true); (false, false); (false, true) ])
+            (Printf.sprintf "%s (optimize=%b)" name optimize)
+            true
+            (Relation.equal a.Mxra_engine.Exec.result expected))
+        [ true; false ])
     [ ("Example 3.1", W.Beer.example_3_1); ("Example 3.2", W.Beer.example_3_2) ]
 
 let test_sys_write_refused () =
@@ -85,8 +83,33 @@ let test_one_record_per_statement () =
            (Mxra_sql.Sql_parser.parse "SELECT name FROM beer")));
   step ~lang:"data statement" ~xra_calls:2 ~sql_calls:1 (fun () ->
       ignore (Session.statement s db W.Beer.example_4_1));
-  step ~lang:"instrumented query" ~xra_calls:3 ~sql_calls:1 (fun () ->
-      ignore (Session.query ~instrument:true s db W.Beer.example_3_2))
+  step ~lang:"second query" ~xra_calls:3 ~sql_calls:1 (fun () ->
+      ignore (Session.query s db W.Beer.example_3_2))
+
+(* A plain query — no print flag, no tracing — feeds sys.operators one
+   row per operator kind and records its tuple traffic. *)
+let test_plain_query_observed () =
+  Obs.Stmt_stats.set_enabled true;
+  Obs.Stmt_stats.clear ();
+  Obs.Op_stats.clear ();
+  let s = Session.make ~optimize:false () in
+  let a =
+    Session.query s W.Beer.tiny
+      (Mxra_xra.Parser.expr_of_string "select[%3 > 5.0](beer)")
+  in
+  let kinds =
+    let rec go (r : Mxra_engine.Exec.report) =
+      Mxra_engine.Physical.kind r.node :: List.concat_map go r.inputs
+    in
+    List.sort_uniq compare (go a.root)
+  in
+  Alcotest.(check (list string)) "one sys.operators row per operator kind"
+    kinds
+    (List.map (fun (r : Obs.Op_stats.row) -> r.o_op) (Obs.Op_stats.snapshot ()));
+  Alcotest.(check (list int)) "sys.statements.tuples = tuples-moved"
+    [ Mxra_engine.Metrics.(count (counter a.totals "tuples-moved")) ]
+    (List.map (fun (r : Obs.Stmt_stats.row) -> r.r_tuples)
+       (Obs.Stmt_stats.snapshot ()))
 
 let test_batch_of_one () =
   List.iter
@@ -169,6 +192,8 @@ let suite =
         `Quick test_sys_write_refused;
       Alcotest.test_case "one Stmt_stats call per statement, by lang" `Quick
         test_one_record_per_statement;
+      Alcotest.test_case "a plain query feeds sys.operators and tuples"
+        `Quick test_plain_query_observed;
       Alcotest.test_case "batch of one = Transaction.run under SI and 2PL"
         `Quick test_batch_of_one;
       Alcotest.test_case "describe covers every documented error" `Quick
