@@ -462,6 +462,48 @@ let one_set_of_numbers =
              Mxra_obs.Ash.set_enabled ash)
            (fun () -> test seed)))
 
+(* [Exec.stream] is the same observed execution as [run]: its elements
+   make up the same bag, and it feeds [sys.operators] exactly once, when
+   the stream is exhausted — not while a consumer is still pulling. *)
+let test_stream_feeds_when_exhausted () =
+  let module Obs = Mxra_obs in
+  let e =
+    Expr.join (Pred.eq (Scalar.attr 1) (Scalar.attr 3)) (Expr.rel "l")
+      (Expr.rel "r")
+  in
+  let plan = Planner.plan db e in
+  let counts () =
+    List.map
+      (fun (r : Obs.Op_stats.row) ->
+        (r.o_op, r.o_execs, r.o_elems, r.o_rows, r.o_cells))
+      (Obs.Op_stats.snapshot ())
+  in
+  let stmt_stats = Obs.Stmt_stats.enabled () in
+  Obs.Stmt_stats.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Op_stats.clear ();
+      Obs.Stmt_stats.set_enabled stmt_stats)
+    (fun () ->
+      Obs.Op_stats.clear ();
+      let a = Exec.run_instrumented ~chunk_size:1 db plan in
+      let fed_by_run = counts () in
+      Alcotest.(check bool) "run feeds sys.operators" true (fed_by_run <> []);
+      Obs.Op_stats.clear ();
+      let s = Exec.stream ~chunk_size:1 db plan in
+      let first, rest =
+        match s () with
+        | Seq.Cons (x, rest) -> (x, rest)
+        | Seq.Nil -> Alcotest.fail "stream of a non-empty join is empty"
+      in
+      Alcotest.(check int) "nothing fed while pulling" 0
+        (List.length (counts ()));
+      let elems = first :: List.of_seq rest in
+      check_equal_relations "stream = run" a.Exec.result
+        (Relation.of_counted_list (Relation.schema a.Exec.result) elems);
+      Alcotest.(check bool) "exhausted stream feeds what run fed" true
+        (counts () = fed_by_run))
+
 (* Satellite: instrumentation counts physical facts — elements, rows,
    cells — not plumbing, so they must not change with the chunk size
    (and EXPLAIN ANALYZE output stays pinnable in the cram tests even
@@ -516,6 +558,8 @@ let suite =
       Alcotest.test_case "every operator matches reference" `Quick test_exec_each_operator;
       Alcotest.test_case "empty aggregates" `Quick test_exec_empty_aggregate;
       Alcotest.test_case "tuples-moved instrumentation" `Quick test_moved_totals;
+      Alcotest.test_case "stream feeds sys.operators when exhausted" `Quick
+        test_stream_feeds_when_exhausted;
       Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
       Alcotest.test_case "q-error" `Quick test_q_error;
       Alcotest.test_case "explain analyze on a 2-join query" `Quick

@@ -510,6 +510,50 @@ let test_exchange_feeds_back () =
     exchange_shapes;
   Engine.Feedback.reset ()
 
+(* Under an Exchange a fused σ/π chain runs stage by stage in every
+   fragment; the fragments' tallies are summed, so each stage reports
+   the rows and elements it reports in the sequential plan. *)
+let fused_stages_count_as_sequential =
+  let stages (r : Engine.Exec.report) =
+    let rec go (r : Engine.Exec.report) acc =
+      let acc =
+        List.fold_left (fun acc c -> go c acc) acc r.Engine.Exec.inputs
+      in
+      match r.Engine.Exec.node with
+      | Engine.Physical.Exchange _ -> acc
+      | p ->
+          ( Engine.Physical.label p,
+            r.Engine.Exec.actual.Engine.Exec.out_rows,
+            r.Engine.Exec.actual.Engine.Exec.out_elems )
+          :: acc
+    in
+    List.sort compare (go r [])
+  in
+  let chains =
+    let lt = Pred.lt (Scalar.attr 2) (Scalar.int 6) in
+    let sum = [ Scalar.attr 2; Scalar.add (Scalar.attr 1) (Scalar.attr 2) ] in
+    [
+      Expr.project sum (Expr.select lt (Expr.rel "a"));
+      Expr.select
+        (Pred.lt (Scalar.attr 2) (Scalar.int 9))
+        (Expr.project sum (Expr.select lt (Expr.rel "a")));
+    ]
+  in
+  prop "fused σ/π stages under Exchange count as sequential"
+    (fun (seed, parts) ->
+      let _, db = diff_db seed in
+      List.for_all
+        (fun e ->
+          let seq =
+            Engine.Exec.run_instrumented db (forced_plan ~jobs:1 db e)
+          in
+          let plan = forced_plan ~jobs:parts db e in
+          let par = Engine.Exec.run_instrumented db plan in
+          (parts = 1 || Engine.Physical.exchange_count plan > 0)
+          && Relation.equal seq.Engine.Exec.result par.Engine.Exec.result
+          && stages par.Engine.Exec.root = stages seq.Engine.Exec.root)
+        chains)
+
 let test_feedback_bar () =
   Engine.Feedback.reset ();
   Alcotest.(check (option int)) "no observations, no bar" None
@@ -567,4 +611,5 @@ let suite =
         test_exchange_worker_spans;
       Alcotest.test_case "every Exchange feeds back" `Quick
         test_exchange_feeds_back;
+      fused_stages_count_as_sequential;
     ] )
