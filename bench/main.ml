@@ -1004,7 +1004,7 @@ let e14_observability_overhead () =
 let e15_parallel_speedup () =
   header "E15  multicore speedup (retail join+aggregate, domain pool)";
   let orders = if quick then 4_000 else 20_000 in
-  let cores = Planner.available_cores () in
+  let cores = Mxra_session.Session.host_cores () in
   let chunk = Exec.chunk_size () in
   let db =
     W.Retail.generate ~rng:(W.Rng.make 15) ~customers:(orders / 10) ~orders ()
@@ -1026,7 +1026,7 @@ let e15_parallel_speedup () =
     List.map
       (fun jobs ->
         Ext.Pool.set_default_size jobs;
-        let plan = Planner.plan ~jobs db e in
+        let plan = Planner.plan ~jobs ~cores db e in
         let exchanges = Physical.exchange_count plan in
         let result = Exec.run db plan in
         let equal = Relation.equal baseline result in

@@ -165,7 +165,9 @@ let explain ~analyze session db src =
   end
   else
     Format.printf "physical:@.%s@."
-      (Mxra_engine.Exec.explain ~jobs:session.jobs x.db x.optimized)
+      (Format.asprintf "%a"
+         (Mxra_engine.Exec.pp_estimates x.db)
+         (Session.plan session x.db x.optimized))
 
 (* --- observability plumbing ------------------------------------------- *)
 
@@ -256,8 +258,8 @@ let seed_flag =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Scheduler interleaving seed for transaction batches." ~docv:"N")
 
 (* [--isolation si|2pl]: concurrency control for transaction batches.
-   Unset falls back to MXRA_ISOLATION, then snapshot isolation — the
-   old strict-2PL scheduler stays selectable for differential runs. *)
+   Snapshot isolation unless given — the old strict-2PL scheduler stays
+   selectable for differential runs. *)
 let isolation_flag =
   let mode = Arg.enum [ ("si", Scheduler.Si); ("2pl", Scheduler.Two_pl) ] in
   Arg.(
@@ -268,25 +270,22 @@ let isolation_flag =
           "Concurrency control for transaction batches: $(b,si) \
            (multi-version snapshot isolation with first-committer-wins, \
            the default) or $(b,2pl) (strict two-phase locking, kept \
-           selectable for differential testing).  Unset, the \
-           MXRA_ISOLATION environment variable decides."
+           selectable for differential testing)."
         ~docv:"MODE")
 
 let jobs_flag =
   Arg.(value & opt int 1 & info [ "jobs" ] ~doc:"Execute plans on $(docv) domains: the planner inserts Exchange operators above large scans, joins and aggregates when profitable on this host's cores, and fragments run on a shared domain pool." ~docv:"N")
 
-(* [--chunk-size N]: morsel size of the chunked executor; the default
-   (or the MXRA_CHUNK_SIZE environment variable) is nursery-sized.
-   Results are bag-equal at every size — this knob exists for
-   experiments and for degenerate-size testing. *)
+(* [--chunk-size N]: morsel size of the chunked executor, carried by
+   the session; the default is nursery-sized.  Results are bag-equal at
+   every size — this knob exists for experiments and for degenerate-size
+   testing. *)
 let chunk_size_flag =
-  Arg.(value & opt (some int) None & info [ "chunk-size" ] ~doc:"Execute with $(docv)-tuple chunks instead of the default (MXRA_CHUNK_SIZE or 255). Results are identical at every size." ~docv:"N")
+  Arg.(value & opt (some int) None & info [ "chunk-size" ] ~doc:"Execute with $(docv)-tuple chunks instead of the default (255). Results are identical at every size." ~docv:"N")
 
-let set_chunk_size = function
-  | None -> ()
-  | Some n ->
-      if n < 1 then invalid_arg "--chunk-size must be at least 1";
-      Mxra_engine.Exec.set_chunk_size n
+let check_chunk_size = function
+  | Some n when n < 1 -> invalid_arg "--chunk-size must be at least 1"
+  | chunk -> chunk
 
 let path_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"SCRIPT")
 let expr_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR")
@@ -296,9 +295,8 @@ let expr_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR")
    or --chunk-size is a reported error. *)
 let session_term =
   let make no_opt seed isolation jobs chunk store =
-    set_chunk_size chunk;
     Session.make ~optimize:(not no_opt) ~seed ?isolation ~jobs:(set_jobs jobs)
-      ?store ()
+      ?chunk_size:(check_chunk_size chunk) ?store ()
   in
   Term.(
     const make $ no_optimize_flag $ seed_flag $ isolation_flag $ jobs_flag
@@ -404,13 +402,16 @@ let analyze_flag =
 let explain_cmd =
   let action beer gen retail analyze jobs chunk db_dir expr =
     guarded (fun () ->
-        set_chunk_size chunk;
         (* --db opens an existing store read-only (no checkpoint): the
            plan is explained against its recovered relations and index
            definitions — how index-path selection is pinned in tests. *)
         with_store ~checkpoint:false db_dir (preload beer gen retail)
           (fun _ db ->
-            explain ~analyze (Session.make ~jobs:(set_jobs jobs) ()) db expr))
+            let session =
+              Session.make ~jobs:(set_jobs jobs)
+                ?chunk_size:(check_chunk_size chunk) ()
+            in
+            explain ~analyze session db expr))
   in
   Cmd.v (Cmd.info "explain" ~doc:"Optimize an XRA expression and show plans.")
     Term.(

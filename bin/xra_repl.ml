@@ -46,8 +46,18 @@ let trace_on path =
     path
 
 (* Statements run with the shell's engine settings: optimizer on, one
-   job, the default isolation, seed 42, no store. *)
-let session = Session.make ()
+   job, snapshot isolation, seed 42, no store.  A malformed core count
+   in the environment is reported like any other error, before the
+   prompt. *)
+let session =
+  match Session.make () with
+  | s -> s
+  | exception e -> (
+      match Session.describe e with
+      | Some msg ->
+          prerr_endline msg;
+          exit 1
+      | None -> raise e)
 
 (* Print what a command did; the shell continues from the new state. *)
 let show (db, outcome) =
@@ -86,7 +96,7 @@ let show_plan db src =
     (Expr.to_string x.Session.optimized);
   Format.printf "physical:@.%s@."
     (Mxra_engine.Physical.to_string
-       (Mxra_engine.Planner.plan x.Session.db x.Session.optimized))
+       (Session.plan session x.Session.db x.Session.optimized))
 
 let explain_query db ~analyze src =
   let x = explained db src in
@@ -94,7 +104,10 @@ let explain_query db ~analyze src =
     Format.printf "%a@." Mxra_engine.Exec.pp_analysis
       (snd (Session.analyze session x))
   else
-    print_endline (Mxra_engine.Exec.explain x.Session.db x.Session.optimized)
+    print_endline
+      (Format.asprintf "%a"
+         (Mxra_engine.Exec.pp_estimates x.Session.db)
+         (Session.plan session x.Session.db x.Session.optimized))
 
 let help () =
   print_string

@@ -46,17 +46,6 @@ type isolation =
 
 let isolation_name = function Si -> "si" | Two_pl -> "2pl"
 
-let isolation_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "si" | "snapshot" | "mvcc" -> Some Si
-  | "2pl" | "two_pl" | "locking" -> Some Two_pl
-  | _ -> None
-
-let default_isolation () =
-  match Sys.getenv_opt "MXRA_ISOLATION" with
-  | None -> Si
-  | Some s -> ( match isolation_of_string s with Some i -> i | None -> Si)
-
 type outcome =
   | Committed
   | Aborted of string
@@ -516,10 +505,7 @@ let step sched t =
               end
           | [] -> execute_statement sched t stmt rest))
 
-let run ?isolation ?schedule ?(on_step = fun () -> ()) ~seed db txns =
-  let isolation =
-    match isolation with Some i -> i | None -> default_isolation ()
-  in
+let run ?(isolation = Si) ?schedule ?(on_step = fun () -> ()) ~seed db txns =
   let rng = Mxra_workload.Rng.make seed in
   Atomic.incr total_batches;
   let sched =

@@ -35,11 +35,12 @@
 
     {2 Strict 2PL ([Two_pl])}
 
-    The PR-0 engine, kept selectable ([bagdb --isolation 2pl],
-    [MXRA_ISOLATION=2pl]) as the differential-testing contrast case:
-    relation-granularity shared/exclusive locks held to commit, blocked
-    transactions wait, wait-for cycles abort a victim.  Serializable,
-    but one hot writer stalls every reader of that relation. *)
+    The original engine, kept selectable ([bagdb --isolation 2pl],
+    [Session.make ~isolation:Two_pl]) as the differential-testing
+    contrast case: relation-granularity shared/exclusive locks held to
+    commit, blocked transactions wait, wait-for cycles abort a victim.
+    Serializable, but one hot writer stalls every reader of that
+    relation. *)
 
 open Mxra_relational
 open Mxra_core
@@ -48,12 +49,6 @@ open Mxra_core
 type isolation =
   | Si  (** Multi-version snapshot isolation, first-committer-wins. *)
   | Two_pl  (** Strict two-phase locking at relation granularity. *)
-
-val default_isolation : unit -> isolation
-(** [Si], unless the environment says [MXRA_ISOLATION=2pl]. *)
-
-val isolation_of_string : string -> isolation option
-(** ["si"] / ["2pl"] (case-insensitive). *)
 
 val isolation_name : isolation -> string
 
@@ -113,7 +108,7 @@ val run :
     (entries naming finished — or, under 2PL, still-blocked —
     transactions are skipped); once exhausted, the seeded pseudo-random
     interleaving takes over.  The anomaly battery uses it to pin exact
-    interleavings.  [isolation] defaults to {!default_isolation}.
+    interleavings.  [isolation] defaults to [Si].
 
     [on_step], when given, runs after every scheduling step — the
     deterministic stand-in for the wall-clock sampler cadence: a bench

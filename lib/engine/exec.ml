@@ -41,13 +41,6 @@ let chunk_ref = ref default_chunk_size
 let set_chunk_size n = chunk_ref := max 1 n
 let chunk_size () = !chunk_ref
 
-let () =
-  (* MXRA_CHUNK_SIZE=1 degrades every chunk to a single element — the CI
-     leg that drags all tests across the chunk-boundary edge cases. *)
-  match Option.bind (Sys.getenv_opt "MXRA_CHUNK_SIZE") int_of_string_opt with
-  | Some n when n >= 1 -> chunk_ref := n
-  | Some _ | None -> ()
-
 (* A growable row buffer (OCaml 5.1 has no Stdlib.Dynarray yet): the
    expanding operators fill one of these per input chunk and flush it as
    an output chunk, reusing the backing store across chunks. *)
@@ -873,6 +866,3 @@ let pp_estimates db ppf plan =
       (Cost.estimate_cardinality ~stats ~schemas (Physical.to_logical p))
   in
   Physical.pp_annotated ~annot ppf plan
-
-let explain ?jobs db e =
-  Format.asprintf "%a" (pp_estimates db) (Planner.plan ?jobs db e)

@@ -22,10 +22,9 @@ open Mxra_core
 
 (** {1 Chunk size}
 
-    One process-wide default, overridable per call.  The initial value
-    is {!default_chunk_size}, or the [MXRA_CHUNK_SIZE] environment
-    variable when set to a positive integer (the CI leg that re-runs
-    the whole suite with one-tuple chunks sets it to 1). *)
+    Every entry point takes [?chunk_size]; without it, one process-wide
+    default applies, initially {!default_chunk_size}.  Front ends pass
+    their session's size explicitly. *)
 
 val default_chunk_size : int
 (** 255: with its header, the largest array the OCaml runtime still
@@ -159,6 +158,3 @@ val pp_estimates : Database.t -> Format.formatter -> Physical.t -> unit
 (** The physical tree annotated with estimated rows only — EXPLAIN
     without execution. *)
 
-val explain : ?jobs:int -> Database.t -> Expr.t -> string
-(** Plan (forwarding [jobs] to {!Planner.plan}) and render with
-    {!pp_estimates}. *)

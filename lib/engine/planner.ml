@@ -15,14 +15,6 @@ let join_keys ~left_arity p =
 
 (* --- index access-path extraction --------------------------------------- *)
 
-(* MXRA_FORCE_INDEX=1 makes the planner take an index path whenever a
-   candidate exists, regardless of cost — the CI leg that drags the
-   whole suite across the index operators. *)
-let force_index () =
-  match Sys.getenv_opt "MXRA_FORCE_INDEX" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 (* [%i = lit] in either orientation. *)
 let eq_literal = function
   | Pred.Cmp (Term.Eq, a, b) -> (
@@ -132,8 +124,8 @@ let index_keys_estimate ~stats name (def : Database.index_def) =
   | None -> 32.0
 
 (* The cheapest index access path for σ_p(name), if any beats a scan
-   (all candidates qualify under MXRA_FORCE_INDEX). *)
-let choose_index_scan ~stats ~schemas ~indexes name p =
+   (every candidate qualifies when [force_index]). *)
+let choose_index_scan ~force_index ~stats ~schemas ~indexes name p =
   let scored =
     List.filter_map
       (fun (def : Database.index_def) ->
@@ -162,23 +154,25 @@ let choose_index_scan ~stats ~schemas ~indexes name p =
       let total =
         Cost.estimate_cardinality ~stats ~schemas (Expr.Rel name)
       in
-      if force_index () || Cost.index_scan_wins ~keys ~matching ~total then
+      if force_index || Cost.index_scan_wins ~keys ~matching ~total then
         Some
           (Physical.Index_scan
              { def; access; residual = Pred.simplify (Pred.conj residual_conjs) })
       else None
 
-let rec translate ~stats ~indexes env e =
-  let recur = translate ~stats ~indexes env in
+let rec translate ~force_index ~stats ~indexes env e =
+  let recur = translate ~force_index ~stats ~indexes env in
   match e with
   | Expr.Rel name -> Physical.Seq_scan name
   | Expr.Const r -> Physical.Const_scan r
   | Expr.Select (p, Expr.Product (e1, e2)) ->
       (* σ(E1 × E2) = E1 ⋈ E2 (Theorem 3.1): give the selection a chance
          to become join keys. *)
-      translate_join ~stats ~indexes env p e1 e2
+      translate_join ~force_index ~stats ~indexes env p e1 e2
   | Expr.Select (p, (Expr.Rel name as e1)) -> (
-      match choose_index_scan ~stats ~schemas:env ~indexes name p with
+      match
+        choose_index_scan ~force_index ~stats ~schemas:env ~indexes name p
+      with
       | Some node -> node
       | None -> Physical.Filter (p, recur e1))
   | Expr.Select (p, e1) -> Physical.Filter (p, recur e1)
@@ -188,15 +182,15 @@ let rec translate ~stats ~indexes env e =
   | Expr.Intersect (e1, e2) -> Physical.Hash_intersect (recur e1, recur e2)
   | Expr.Product (e1, e2) -> Physical.Cross_product (recur e1, recur e2)
   | Expr.Join (p, e1, e2) ->
-      translate_join ~stats ~indexes env p e1 e2
+      translate_join ~force_index ~stats ~indexes env p e1 e2
   | Expr.Unique e1 -> Physical.Hash_distinct (recur e1)
   | Expr.GroupBy (attrs, aggs, e1) ->
       Physical.Hash_aggregate (attrs, aggs, recur e1)
 
-and translate_join ~stats ~indexes env p e1 e2 =
+and translate_join ~force_index ~stats ~indexes env p e1 e2 =
   let left_arity = Schema.arity (Typecheck.infer env e1) in
   let keys, residual = join_keys ~left_arity p in
-  let left = translate ~stats ~indexes env e1 in
+  let left = translate ~force_index ~stats ~indexes env e1 in
   (* An index nested-loop candidate: the inner operand is a base
      relation with an index whose every column is equated (by [keys])
      with some outer attribute.  Unconsumed key equalities rejoin the
@@ -250,7 +244,7 @@ and translate_join ~stats ~indexes env p e1 e2 =
                 in
                 let keys_est = index_keys_estimate ~stats name def in
                 if
-                  force_index ()
+                  force_index
                   || Cost.index_join_wins ~keys:keys_est ~outer:outer_est
                        ~inner:inner_est
                 then Some node
@@ -261,7 +255,7 @@ and translate_join ~stats ~indexes env p e1 e2 =
   match index_join_candidate () with
   | Some node -> node
   | None -> (
-      let right = translate ~stats ~indexes env e2 in
+      let right = translate ~force_index ~stats ~indexes env e2 in
       match keys with
       | [] -> Physical.Nested_loop (p, left, right)
       | _ :: _ ->
@@ -270,22 +264,17 @@ and translate_join ~stats ~indexes env p e1 e2 =
           Physical.Hash_join
             { left_keys; right_keys; left_arity; residual; left; right })
 
-let plan_with ?(stats = fun _ -> None) ?(indexes = fun _ -> []) env e =
+let checked_translate ~force_index ~stats ~indexes env e =
   (* Full static check up front so translation can trust schemas. *)
   ignore (Typecheck.infer env e);
-  translate ~stats ~indexes env e
+  translate ~force_index ~stats ~indexes env e
+
+let plan_with ?(stats = fun _ -> None) ?(indexes = fun _ -> []) env e =
+  checked_translate ~force_index:false ~stats ~indexes env e
 
 (* --- parallelization pass ----------------------------------------------- *)
 
 let default_parallel_threshold = 512
-
-(* How many cores this process can actually use.  MXRA_CORES overrides
-   the probe so tests and cram scripts can pin plans to a core count the
-   host does not have (in either direction). *)
-let available_cores () =
-  match Option.bind (Sys.getenv_opt "MXRA_CORES") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> Stdlib.Domain.recommended_domain_count ()
 
 (* Insert Exchange nodes above the operators the executor knows how to
    fragment — maximal σ/π pipelines, hash joins, hash aggregates — when
@@ -302,7 +291,9 @@ let available_cores () =
    tests stay deterministic. *)
 let parallelize ~stats ~schemas ~jobs ?cores ?threshold plan =
   let cores =
-    match cores with Some c -> max 1 c | None -> available_cores ()
+    match cores with
+    | Some c -> max 1 c
+    | None -> Stdlib.Domain.recommended_domain_count ()
   in
   let parts = min jobs cores in
   if parts <= 1 then plan
@@ -369,12 +360,12 @@ let parallelize ~stats ~schemas ~jobs ?cores ?threshold plan =
     in
     go plan
 
-let plan ?(jobs = 1) ?cores ?parallel_threshold db e =
+let plan ?(jobs = 1) ?cores ?parallel_threshold ?(force_index = false) db e =
   Mxra_obs.Trace.with_span "plan" (fun () ->
       let schemas = Typecheck.env_of_database db in
       let stats = Stats.env_of_database db in
       let p =
-        plan_with ~stats
+        checked_translate ~force_index ~stats
           ~indexes:(fun name -> Database.indexes_on name db)
           schemas e
       in

@@ -18,24 +18,21 @@ val plan :
   ?jobs:int ->
   ?cores:int ->
   ?parallel_threshold:int ->
+  ?force_index:bool ->
   Database.t ->
   Expr.t ->
   Physical.t
 (** Translate a well-typed expression.  With [jobs > 1] the result is
     additionally run through {!parallelize} (the default, [jobs = 1],
     plans purely sequentially); [cores] and [parallel_threshold] are
-    forwarded to it.
+    forwarded to it.  [force_index] (default false) takes an index path
+    wherever one applies, regardless of estimated cost — how tests
+    drag plans across the index operators.
     @raise Typecheck.Type_error on an ill-typed expression. *)
 
 val default_parallel_threshold : int
 (** Estimated input cardinality below which {!parallelize} leaves an
     operator sequential (512). *)
-
-val available_cores : unit -> int
-(** How many cores plans may assume: the [MXRA_CORES] environment
-    variable when set to a positive integer (so tests and cram scripts
-    can pin plan shapes on any host), otherwise
-    [Stdlib.Domain.recommended_domain_count ()]. *)
 
 val parallelize :
   stats:Stats.env ->
@@ -52,7 +49,7 @@ val parallelize :
     profitability floor ({!Cost.exchange_floor}).
 
     Adaptive: the fragment count is [min jobs cores] with [cores]
-    defaulting to {!available_cores} — on one core the plan is returned
+    defaulting to [Stdlib.Domain.recommended_domain_count ()] — on one core the plan is returned
     unchanged, parallelizing there is a planner bug — and, when no
     explicit [threshold] is given, the floor folds in the measured
     break-even from {!Feedback}.  Passing [threshold]
@@ -71,11 +68,6 @@ val plan_with :
     relation (default: none, so index paths are never chosen); [stats]
     feeds the index-vs-scan cost comparison (default: no statistics,
     heuristic estimates). *)
-
-val force_index : unit -> bool
-(** Whether [MXRA_FORCE_INDEX] is set to [1]/[true]/[yes]: the planner
-    then takes an index path whenever a candidate exists, regardless of
-    estimated cost — full-suite coverage for the index operators. *)
 
 val join_keys :
   left_arity:int -> Pred.t -> (int * int) list * Pred.t

@@ -22,9 +22,9 @@
      tuple), so the ring stays sampling-cheap while short-lived waits
      that a 100 ms cadence would miss still appear in [sys.ash].
 
-   [MXRA_ASH=0] (or the [set_enabled] switch) turns registration,
-   sampling and ring pushes off; [Wait] class counters stay on — they
-   are two atomics per event and carry no per-session state. *)
+   The [set_enabled] switch turns registration, sampling and ring
+   pushes off; [Wait] class counters stay on — they are two atomics per
+   event and carry no per-session state. *)
 
 type slot = {
   s_qid : string;
@@ -67,11 +67,7 @@ type progress = {
 
 (* --- the enabled switch ------------------------------------------------- *)
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "MXRA_ASH" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | Some _ | None -> true)
+let enabled_flag = Atomic.make true
 
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b

@@ -10,8 +10,8 @@
     miss still appear.  [sys.ash] and [sys.progress] materialize from
     {!snapshot} and {!progress}.
 
-    [MXRA_ASH=0] (or {!set_enabled}) disables registration, sampling
-    and ring pushes; the {!Wait} class counters stay on. *)
+    {!set_enabled} [false] disables registration, sampling and ring
+    pushes; the {!Wait} class counters stay on. *)
 
 type slot
 (** A registered session's activity record.  Obtained from

@@ -13,20 +13,36 @@ module Sql = Mxra_sql
 type t = {
   optimize : bool;
   jobs : int;
+  cores : int;
+  chunk_size : int;
   isolation : Scheduler.isolation;
   seed : int;
   store : Store.t option;
 }
 
-let make ?(optimize = true) ?(jobs = 1) ?isolation ?(seed = 42) ?store () =
+(* The one place the engine's configuration comes from the environment:
+   MXRA_CORES is a deployment setting, and it lets tests pin plan shapes
+   on hosts with any number of cores. *)
+let host_cores () =
+  match Sys.getenv_opt "MXRA_CORES" with
+  | None -> Stdlib.Domain.recommended_domain_count ()
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= 1 -> n
+      | Some _ | None ->
+          invalid_arg
+            (Printf.sprintf "MXRA_CORES must be a positive integer, not %S" s))
+
+let make ?(optimize = true) ?(jobs = 1) ?(cores = host_cores ())
+    ?(chunk_size = Engine.Exec.default_chunk_size)
+    ?(isolation = Scheduler.Si) ?(seed = 42) ?store () =
   (* sys.locks materializes from the scheduler's process counters; the
      engine cannot name the scheduler (layering), so the session wires
      the probe — the same inversion the sampler uses. *)
   Syscat.set_probe "sys.locks" Scheduler.telemetry;
-  let isolation =
-    match isolation with Some i -> i | None -> Scheduler.default_isolation ()
-  in
-  { optimize; jobs; isolation; seed; store }
+  { optimize; jobs; cores; chunk_size; isolation; seed; store }
+
+let plan t db e = Engine.Planner.plan ~jobs:t.jobs ~cores:t.cores db e
 
 type outcome =
   | Rows of Engine.Exec.analysis
@@ -43,7 +59,8 @@ type outcome =
    JSONL query log, the Chrome trace, the WAL record and EXPLAIN
    ANALYZE output.  From here to [finish] the statement is visible in
    sys.progress, and ASH samples attribute to its qid and fingerprint;
-   with MXRA_ASH=0 the slot is inert and nothing below pays for it. *)
+   with ASH switched off the slot is inert and nothing below pays for
+   it. *)
 let with_statement ~lang ~text ~span ~attrs f =
   let qid = Obs.Qid.mint () in
   let slot = Obs.Ash.register ~lang ~text ~qid () in
@@ -63,7 +80,7 @@ let query ?(lang = "xra") t db e =
      slot is already registered, so sys.progress sees it live. *)
   let db = Syscat.attach_for db e in
   let e = if t.optimize then Optimizer.optimize_db db e else e in
-  let plan = Engine.Planner.plan ~jobs:t.jobs db e in
+  let plan = plan t db e in
   if Obs.Ash.live slot then begin
     (* Root-cardinality estimate, so sys.progress can report rows
        against the planner's expectation. *)
@@ -78,7 +95,7 @@ let query ?(lang = "xra") t db e =
   Obs.Ash.with_slot slot @@ fun () ->
   (* One run yields the result, the timing and the tuple traffic — the
      same figures whatever the front end chooses to print. *)
-  let a = Engine.Exec.run_instrumented db plan in
+  let a = Engine.Exec.run_instrumented ~chunk_size:t.chunk_size db plan in
   let rows = Relation.cardinal a.Engine.Exec.result in
   Obs.Stmt_stats.record ~lang ~qid ~rows
     ~tuples:
@@ -196,7 +213,8 @@ let analyze t x =
   let qid = Obs.Qid.mint () in
   ( qid,
     Trace.with_context [ (Obs.Qid.attr_key, Trace.Str qid) ] (fun () ->
-        Engine.Exec.explain_analyze ~jobs:t.jobs x.db x.optimized) )
+        Engine.Exec.run_instrumented ~chunk_size:t.chunk_size x.db
+          (plan t x.db x.optimized)) )
 
 let describe e =
   let at kind (msg, pos) = Some (Printf.sprintf "%s at %d: %s" kind pos msg) in

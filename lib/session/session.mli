@@ -15,22 +15,43 @@ open Mxra_core
 type t = {
   optimize : bool;  (** Run the logical optimizer before planning. *)
   jobs : int;  (** Domains for parallel plans. *)
+  cores : int;  (** Cores the planner may assume ({!host_cores}). *)
+  chunk_size : int;  (** Executor chunk size; results do not depend on it. *)
   isolation : Mxra_concurrency.Scheduler.isolation;
   seed : int;  (** Scheduler interleaving seed. *)
   store : Mxra_storage.Store.t option;  (** Durability, when given. *)
 }
+(** A front end's engine configuration.  Everything a statement's
+    planning and execution depend on is here, passed explicitly; none
+    of it is read from the environment later. *)
+
+val host_cores : unit -> int
+(** The cores plans may assume: the [MXRA_CORES] environment variable
+    when set (a deployment setting, and how tests pin plan shapes on any
+    host), otherwise [Stdlib.Domain.recommended_domain_count ()].  The
+    only environment read in the engine.
+    @raise Invalid_argument if [MXRA_CORES] is not a positive integer. *)
 
 val make :
   ?optimize:bool ->
   ?jobs:int ->
+  ?cores:int ->
+  ?chunk_size:int ->
   ?isolation:Mxra_concurrency.Scheduler.isolation ->
   ?seed:int ->
   ?store:Mxra_storage.Store.t ->
   unit ->
   t
-(** Defaults: optimizer on, one job,
-    {!Mxra_concurrency.Scheduler.default_isolation}, seed 42, no store.
-    Also wires the scheduler's counters as the [sys.locks] probe. *)
+(** Defaults: optimizer on, one job, {!host_cores},
+    {!Mxra_engine.Exec.default_chunk_size}, snapshot isolation, seed 42,
+    no store.  Also wires the scheduler's counters as the [sys.locks]
+    probe.
+    @raise Invalid_argument from {!host_cores} when [cores] is absent. *)
+
+val plan : t -> Database.t -> Expr.t -> Mxra_engine.Physical.t
+(** The physical plan of an (already optimized) expression under the
+    session's [jobs] and [cores] — the plan {!query} and {!analyze}
+    run, and the one a front end shows for EXPLAIN. *)
 
 type outcome =
   | Rows of Mxra_engine.Exec.analysis
@@ -84,7 +105,8 @@ val explain : ?realize:bool -> Database.t -> Expr.t -> explained
     both plans to measure their tuple traffic. *)
 
 val analyze : t -> explained -> string * Mxra_engine.Exec.analysis
-(** Run the plan under a fresh query id (returned). *)
+(** Run the session's {!plan} of the optimized expression, at its chunk
+    size, under a fresh query id (returned). *)
 
 val describe : exn -> string option
 (** The one-line message for every documented error: XRA and SQL lex

@@ -1,10 +1,9 @@
 (* Isolation tests: scheduler batches are equivalent to serial
    execution (the paper's isolation semantics) and aborted victims
-   leave no trace.  Most tests run under the session default isolation
-   (CI exercises both MXRA_ISOLATION=si and =2pl); the lock-protocol
-   tests pin [~isolation:Scheduler.Two_pl] because blocking and
-   deadlocks only exist there.  SI-specific anomalies live in
-   test_mvcc.ml. *)
+   leave no trace.  Expectations that hold under either engine run
+   under both, through [each_isolation]; the lock-protocol tests pin
+   [~isolation:Scheduler.Two_pl] because blocking and deadlocks only
+   exist there.  SI-specific anomalies live in test_mvcc.ml. *)
 
 open Mxra_relational
 open Mxra_core
@@ -37,11 +36,26 @@ let total db =
   | [ t ] -> ( match Tuple.attr t 1 with Value.Int n -> n | _ -> -1)
   | _ -> -1
 
+(* Isolation-invariant expectations hold under both engines: a test
+   body takes a [run] pinned to one mode at a time, and afterwards the
+   batches it ran must have covered both — a body that drops a mode, or
+   bypasses [run], fails instead of silently losing that engine. *)
+let each_isolation f () =
+  let ran = ref [] in
+  List.iter
+    (fun isolation ->
+      f (fun ~seed db txns ->
+          ran := Scheduler.isolation_name isolation :: !ran;
+          Scheduler.run ~isolation ~seed db txns))
+    [ Scheduler.Si; Scheduler.Two_pl ];
+  Alcotest.(check (list string)) "ran under 2pl and si" [ "2pl"; "si" ]
+    (List.sort_uniq String.compare !ran)
+
 (* --- basic ---------------------------------------------------------------- *)
 
-let test_single_transaction () =
+let test_single_transaction run =
   let db = bank 4 in
-  let result = Scheduler.run ~seed:1 db [ transfer 0 1 10 ] in
+  let result = run ~seed:1 db [ transfer 0 1 10 ] in
   Alcotest.(check bool) "committed" true (result.Scheduler.outcomes = [ Scheduler.Committed ]);
   Alcotest.(check int) "effect applied" 90
     (match Relation.to_list
@@ -55,7 +69,7 @@ let test_single_transaction () =
   Alcotest.(check bool) "serial-equivalent" true
     (Scheduler.equivalent_serial db [ transfer 0 1 10 ] result)
 
-let test_interleaving_conserves () =
+let test_interleaving_conserves run =
   let db = bank 8 in
   let rng = W.Rng.make 5 in
   let txns =
@@ -64,7 +78,7 @@ let test_interleaving_conserves () =
   in
   List.iter
     (fun seed ->
-      let result = Scheduler.run ~seed db txns in
+      let result = run ~seed db txns in
       Alcotest.(check int)
         (Printf.sprintf "balance conserved (seed %d)" seed)
         (total db) (total result.Scheduler.final);
@@ -74,7 +88,7 @@ let test_interleaving_conserves () =
         (Scheduler.equivalent_serial db txns result))
     [ 1; 2; 3; 4; 5 ]
 
-let test_statement_failure_aborts () =
+let test_statement_failure_aborts run =
   let db = bank 2 in
   let poisoned =
     Transaction.make
@@ -84,7 +98,7 @@ let test_statement_failure_aborts () =
         update_balance 1 10;
       ]
   in
-  let result = Scheduler.run ~seed:3 db [ poisoned; transfer 0 1 5 ] in
+  let result = run ~seed:3 db [ poisoned; transfer 0 1 5 ] in
   (match result.Scheduler.outcomes with
   | [ Scheduler.Aborted _; Scheduler.Committed ] -> ()
   | _ -> Alcotest.fail "expected abort then commit");
@@ -93,7 +107,7 @@ let test_statement_failure_aborts () =
   Alcotest.(check bool) "serial-equivalent" true
     (Scheduler.equivalent_serial db [ poisoned; transfer 0 1 5 ] result)
 
-let test_abort_if_guard () =
+let test_abort_if_guard run =
   let db = bank 2 in
   let guarded =
     Transaction.make
@@ -102,7 +116,7 @@ let test_abort_if_guard () =
           (Database.find "acct" db))
       [ update_balance 0 (-50) ]
   in
-  let result = Scheduler.run ~seed:1 db [ guarded ] in
+  let result = run ~seed:1 db [ guarded ] in
   (match result.Scheduler.outcomes with
   | [ Scheduler.Aborted _ ] -> ()
   | _ -> Alcotest.fail "guard should fire");
@@ -131,11 +145,11 @@ let test_conflicting_writers_serialize () =
         (Scheduler.equivalent_serial db [ t1; t2 ] result))
     (List.init 8 (fun i -> i))
 
-let test_readers_share () =
+let test_readers_share run =
   (* Pure readers on the same relation never block each other. *)
   let db = bank 2 in
   let reader = Transaction.make [ Statement.Query (Expr.rel "acct") ] in
-  let result = Scheduler.run ~seed:7 db [ reader; reader; reader ] in
+  let result = run ~seed:7 db [ reader; reader; reader ] in
   Alcotest.(check int) "no blocking among readers" 0
     result.Scheduler.stats.Scheduler.blocks
 
@@ -172,7 +186,7 @@ let test_deadlock_broken () =
     (List.init 20 (fun i -> i));
   Alcotest.(check bool) "deadlock exercised at least once" true !saw_deadlock
 
-let test_temporaries_are_private () =
+let test_temporaries_are_private run =
   (* Two transactions using the same temporary name must not clash. *)
   let db = bank 2 in
   let via_temp delta =
@@ -189,12 +203,13 @@ let test_temporaries_are_private () =
   in
   List.iter
     (fun seed ->
-      (* Both transactions S-lock acct via the assign and then want the
-         X lock — some seeds deadlock with one victim, which is correct
-         2PL behaviour; in every case the schedule must be equivalent to
-         the serial run of the committed subset. *)
+      (* Under 2PL both transactions S-lock acct via the assign and then
+         want the X lock — some seeds deadlock with one victim, which is
+         correct; under SI a concurrent second committer aborts.  In
+         every case the schedule must be equivalent to the serial run of
+         the committed subset. *)
       let txns = [ via_temp 1; via_temp 2 ] in
-      let result = Scheduler.run ~seed db txns in
+      let result = run ~seed db txns in
       let expected_delta =
         List.fold_left
           (fun acc i -> acc + (2 * (i + 1)))
@@ -282,9 +297,16 @@ let serializability_property =
           transfer (W.Rng.int rng accounts) (W.Rng.int rng accounts)
             (1 + W.Rng.int rng 30))
     in
-    let result = Scheduler.run ~seed db txns in
-    Scheduler.equivalent_serial db txns result
-    && total result.Scheduler.final = total db
+    let ok = ref true in
+    each_isolation
+      (fun run ->
+        let result = run ~seed db txns in
+        ok :=
+          !ok
+          && Scheduler.equivalent_serial db txns result
+          && total result.Scheduler.final = total db)
+      ();
+    !ok
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"schedules are serializable" ~count:200
@@ -293,18 +315,21 @@ let serializability_property =
 let suite =
   ( "concurrency",
     [
-      Alcotest.test_case "single transaction" `Quick test_single_transaction;
+      Alcotest.test_case "single transaction" `Quick
+        (each_isolation test_single_transaction);
       Alcotest.test_case "interleaving conserves balances" `Quick
-        test_interleaving_conserves;
+        (each_isolation test_interleaving_conserves);
       Alcotest.test_case "statement failure aborts" `Quick
-        test_statement_failure_aborts;
-      Alcotest.test_case "abort_if guard" `Quick test_abort_if_guard;
+        (each_isolation test_statement_failure_aborts);
+      Alcotest.test_case "abort_if guard" `Quick
+        (each_isolation test_abort_if_guard);
       Alcotest.test_case "conflicting writers serialize" `Quick
         test_conflicting_writers_serialize;
-      Alcotest.test_case "readers share" `Quick test_readers_share;
+      Alcotest.test_case "readers share" `Quick
+        (each_isolation test_readers_share);
       Alcotest.test_case "deadlock broken" `Quick test_deadlock_broken;
       Alcotest.test_case "temporaries are private" `Quick
-        test_temporaries_are_private;
+        (each_isolation test_temporaries_are_private);
       Alcotest.test_case "one abort reason, serial or interleaved" `Quick
         test_one_abort_reason;
       serializability_property;

@@ -82,7 +82,13 @@ let test_join_is_selected_product () =
   Alcotest.(check int) "match multiplicity 2*3" 6
     (Relation.multiplicity
        (Tuple.of_list [ Value.Int 1; Value.Int 10; Value.Int 1; Value.Int 99 ])
-       joined)
+       joined);
+  (* Projecting the join back onto the left operand multiplies each left
+     tuple by its match count: (1,10) occurs twice in [left], six times
+     in π(left ⋈ right). *)
+  Alcotest.(check int) "π∘⋈ inflates (the pitfall)" 6
+    (Relation.multiplicity (tup 1 10)
+       (Eval.project [ Scalar.attr 1; Scalar.attr 2 ] (Eval.join p left right)))
 
 let test_unique () =
   let result = run (Expr.unique (e r1)) in

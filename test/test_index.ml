@@ -326,12 +326,7 @@ let test_index_q_error () =
 
 (* --- differential harness over indexed plans ---------------------------- *)
 
-let with_forced_index f =
-  Unix.putenv "MXRA_FORCE_INDEX" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "MXRA_FORCE_INDEX" "0") f
-
 let test_indexed_plans_differential () =
-  with_forced_index @@ fun () ->
   let rng = W.Rng.make 11 in
   let a = W.Synth.two_column_int ~rng ~size:300 ~distinct:17 in
   let b, _ = W.Synth.join_pair ~rng ~left:60 ~right:40 ~key_range:10 in
@@ -376,7 +371,7 @@ let test_indexed_plans_differential () =
       let expected = Eval.eval db e in
       List.iter
         (fun jobs ->
-          let plan = Engine.Planner.plan ~jobs db e in
+          let plan = Engine.Planner.plan ~jobs ~force_index:true db e in
           Alcotest.(check bool)
             (Printf.sprintf "forced plan uses an index (%s)" (Expr.to_string e))
             true
@@ -391,6 +386,37 @@ let test_indexed_plans_differential () =
             [ 1; 7; 64; 1024 ])
         [ 1; 2; 4 ])
     queries
+
+(* Forcing overrides the costing: over the retail store of 300 orders,
+   lineitem ⋈ orders hash-joins on cost, but forced it probes the
+   orders key index once per lineitem row. *)
+let test_forced_index_join_shape () =
+  let db =
+    W.Retail.generate ~rng:(W.Rng.make 42) ~customers:30 ~orders:300 ()
+    |> Database.create_index ~name:"orders_id" ~rel:"orders" ~cols:[ 1 ]
+         ~kind:Database.Hash
+    |> Database.create_index ~name:"orders_day" ~rel:"orders" ~cols:[ 3 ]
+         ~kind:Database.Ordered
+    |> Database.create_index ~name:"li_order" ~rel:"lineitem" ~cols:[ 1 ]
+         ~kind:Database.Hash
+  in
+  let join =
+    Expr.join (Pred.eq (Scalar.attr 1) (Scalar.attr 5)) (Expr.rel "lineitem")
+      (Expr.rel "orders")
+  in
+  Alcotest.(check bool) "hash join on cost" true
+    (match Engine.Planner.plan db join with
+    | Engine.Physical.Hash_join _ -> true
+    | _ -> false);
+  match Engine.Planner.plan ~force_index:true db join with
+  | Engine.Physical.Index_join
+      { def; outer_keys; outer = Engine.Physical.Seq_scan outer; _ } ->
+      Alcotest.(check string) "via orders_id" "orders_id" def.Database.idx_name;
+      Alcotest.(check (list int)) "outer key %1" [ 1 ] outer_keys;
+      Alcotest.(check string) "outer scans lineitem" "lineitem" outer
+  | p ->
+      Alcotest.failf "expected IndexNestedLoopJoin over SeqScan lineitem, got %s"
+        (Engine.Physical.to_string p)
 
 (* --- durability of definitions ------------------------------------------ *)
 
@@ -427,6 +453,8 @@ let suite =
         test_index_q_error;
       Alcotest.test_case "indexed plans: differential vs Eval" `Quick
         test_indexed_plans_differential;
+      Alcotest.test_case "forced index: lineitem ⋈ orders probes orders_id"
+        `Quick test_forced_index_join_shape;
       Alcotest.test_case "index defs survive codec round-trip" `Quick
         test_codec_roundtrip;
     ] )

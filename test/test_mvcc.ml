@@ -211,6 +211,19 @@ let test_write_skew_prevented_under_2pl () =
         false both_empty)
     (List.init 12 (fun i -> i))
 
+(* Without [~isolation] the scheduler runs SI, whatever the process
+   environment holds: the pinned write skew — a schedule strict 2PL
+   never lets both drains commit — commits both. *)
+let test_default_isolation_is_si () =
+  let db = skew_db () in
+  let result =
+    Scheduler.run ~schedule:[ 0; 1; 0; 1 ] ~seed:1 db
+      [ drain "d1" "d2"; drain "d2" "d1" ]
+  in
+  Alcotest.(check (list bool)) "both drains commit, as under SI"
+    [ true; true ]
+    (List.map committed result.Scheduler.outcomes)
+
 (* --- SI mechanics --------------------------------------------------------- *)
 
 let test_readers_never_block () =
@@ -346,6 +359,8 @@ let suite =
         test_write_skew_admitted_under_si;
       Alcotest.test_case "write skew prevented under 2PL" `Quick
         test_write_skew_prevented_under_2pl;
+      Alcotest.test_case "isolation defaults to SI" `Quick
+        test_default_isolation_is_si;
       Alcotest.test_case "readers never block" `Quick test_readers_never_block;
       Alcotest.test_case "snapshot taken at first step" `Quick
         test_snapshot_taken_at_first_step;

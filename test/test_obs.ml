@@ -1297,9 +1297,11 @@ let kv_db =
 
 let query_r = Statement.Query (Expr.rel "r")
 
-let test_scheduler_outputs_match_serial () =
+let each_isolation = Test_concurrency.each_isolation
+
+let test_scheduler_outputs_match_serial run =
   let t1 = Transaction.make ~name:"reader" [ query_r ] in
-  let r = Mxra_concurrency.Scheduler.run ~seed:7 kv_db [ t1 ] in
+  let r = run ~seed:7 kv_db [ t1 ] in
   let serial_outputs =
     match Transaction.run kv_db t1 with
     | Transaction.Committed { outputs; _ } -> outputs
@@ -1315,14 +1317,14 @@ let test_scheduler_outputs_match_serial () =
         serial_outputs outs
   | _ -> Alcotest.fail "expected one transaction's outputs"
 
-let test_scheduler_aborted_outputs_empty () =
+let test_scheduler_aborted_outputs_empty run =
   let t_abort =
     Transaction.make ~name:"doomed"
       ~abort_if:(fun _ -> true)
       [ query_r ]
   in
   let t_ok = Transaction.make ~name:"fine" [ query_r ] in
-  let r = Mxra_concurrency.Scheduler.run ~seed:7 kv_db [ t_abort; t_ok ] in
+  let r = run ~seed:7 kv_db [ t_abort; t_ok ] in
   match
     (r.Mxra_concurrency.Scheduler.outcomes, r.Mxra_concurrency.Scheduler.outputs)
   with
@@ -1336,26 +1338,25 @@ let test_scheduler_aborted_outputs_empty () =
 
 (* --- query ids end to end: scheduler spans and WAL stamping ------------- *)
 
-let test_scheduler_query_ids () =
+let test_scheduler_query_ids run =
   let txns =
     List.init 3 (fun i ->
         Transaction.make ~name:(Printf.sprintf "t%d" i) [ query_r ])
   in
-  let r = Mxra_concurrency.Scheduler.run ~seed:1 kv_db txns in
+  let r = run ~seed:1 kv_db txns in
   let qids = r.Mxra_concurrency.Scheduler.query_ids in
   Alcotest.(check int) "one qid per transaction" 3 (List.length qids);
   Alcotest.(check int) "all distinct" 3
     (List.length (List.sort_uniq String.compare qids))
 
-let test_scheduler_statement_spans () =
+let test_scheduler_statement_spans run =
   let spans = ref [] and events = ref [] in
   Trace.set_sinks [ capture_sink spans events ];
   let r =
     Fun.protect
       ~finally:(fun () -> Trace.close ())
       (fun () ->
-        Mxra_concurrency.Scheduler.run ~seed:3 kv_db
-          [ Transaction.make ~name:"w" [ query_r; query_r ] ])
+        run ~seed:3 kv_db [ Transaction.make ~name:"w" [ query_r; query_r ] ])
   in
   let qid =
     match r.Mxra_concurrency.Scheduler.query_ids with
@@ -1440,9 +1441,9 @@ let suite =
       Alcotest.test_case "engine metrics registry export" `Quick
         test_engine_metrics_prometheus;
       Alcotest.test_case "scheduler outputs match serial run" `Quick
-        test_scheduler_outputs_match_serial;
+        (each_isolation test_scheduler_outputs_match_serial);
       Alcotest.test_case "aborted transactions deliver no outputs" `Quick
-        test_scheduler_aborted_outputs_empty;
+        (each_isolation test_scheduler_aborted_outputs_empty);
       prop_merge_conservation;
       prop_agg_sink_parallel;
       prop_exposition;
@@ -1483,9 +1484,9 @@ let suite =
         test_with_context_stamps;
       Alcotest.test_case "query id minting" `Quick test_qid_mint;
       Alcotest.test_case "scheduler mints per-transaction query ids" `Quick
-        test_scheduler_query_ids;
+        (each_isolation test_scheduler_query_ids);
       Alcotest.test_case "statement spans carry the transaction qid" `Quick
-        test_scheduler_statement_spans;
+        (each_isolation test_scheduler_statement_spans);
       Alcotest.test_case "store stamps qids into WAL markers" `Quick
         test_store_qid_stamping;
     ] )

@@ -311,30 +311,118 @@ let chunked_operators_match_eval =
                jobs_list)
            (differential_exprs a)))
 
-(* Metamorphic: beyond matching Eval, every (chunk size, jobs) pair must
-   agree with every other — on random well-typed expressions, so shapes
-   the hand-written operator list misses are covered too. *)
+(* Index paths as a drawn dimension: every generated relation carries a
+   hash index on column 1, so a selection [%1 = c] directly over a
+   relation, or an equi-join probing column 1 of a base relation, has
+   an index path.  This mirrors the planner's candidate search from the
+   outside, so a forced plan can be checked for really using one. *)
+let with_index_on_1 db =
+  List.fold_left
+    (fun db name ->
+      Database.create_index ~name:(name ^ "_1") ~rel:name ~cols:[ 1 ]
+        ~kind:Database.Hash db)
+    db (Database.relation_names db)
+
+let index_applies db e =
+  let env = Typecheck.env_of_database db in
+  let eq_literal_on_1 = function
+    | Pred.Cmp (Term.Eq, a, Scalar.Lit _) -> Scalar.is_attr a = Some 1
+    | Pred.Cmp (Term.Eq, Scalar.Lit _, b) -> Scalar.is_attr b = Some 1
+    | _ -> false
+  in
+  let rec applies e =
+    match e with
+    | Expr.Select (p, Expr.Product (e1, (Expr.Rel _ as e2)))
+    | Expr.Join (p, e1, (Expr.Rel _ as e2)) ->
+        let left_arity = Schema.arity (Typecheck.infer env e1) in
+        let keys, _ = Engine.Planner.join_keys ~left_arity p in
+        List.exists (fun (_, k) -> k = 1) keys || applies e1 || applies e2
+    | Expr.Select (p, Expr.Rel _) ->
+        List.exists eq_literal_on_1 (Pred.conjuncts p)
+    | _ ->
+        let any = ref false in
+        ignore (Expr.map_children (fun c -> if applies c then any := true; c) e);
+        !any
+  in
+  applies e
+
+(* The generated expression as the outer of a join that probes column 1
+   of a base relation of the same domain — an index path by
+   construction — or, when no column's domain fits, a point selection on
+   column 1 of the first relation. *)
+let index_probe db e =
+  let schema = Typecheck.infer_db db e in
+  let arity = Schema.arity schema in
+  let col1 name = Schema.domain (Database.schema_of name db) 1 in
+  let names = Database.relation_names db in
+  let fits name i = Domain.equal (Schema.domain schema i) (col1 name) in
+  match
+    List.find_map
+      (fun name ->
+        List.find_opt (fits name) (List.init arity (fun i -> i + 1))
+        |> Option.map (fun i -> (name, i)))
+      names
+  with
+  | Some (name, i) ->
+      Expr.join
+        (Pred.eq (Scalar.attr i) (Scalar.attr (arity + 1)))
+        e (Expr.rel name)
+  | None ->
+      let name = List.hd names in
+      let literal =
+        match col1 name with
+        | Domain.DInt -> Value.Int 3
+        | Domain.DFloat -> Value.Float 1.5
+        | Domain.DStr -> Value.Str "x"
+        | Domain.DBool -> Value.Bool true
+      in
+      Expr.select (Pred.eq (Scalar.attr 1) (Scalar.Lit literal)) (Expr.rel name)
+
+(* Metamorphic and differential at once, on random well-typed
+   expressions and their index probes: every (chunk size, jobs) pair —
+   the fixed sizes plus one drawn from 1..1024 — must equal the
+   reference evaluator, with index paths forced in a drawn half of the
+   cases.  A forced plan must hold an index operator wherever one
+   applies, so the property fails if the flag stops reaching the
+   planner. *)
 let metamorphic_chunk_jobs =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"identical results across all (chunk, jobs) pairs"
-       ~count:40 QCheck.small_nat (fun seed ->
+       ~count:40
+       QCheck.(triple small_nat (int_range 1 1024) bool)
+       (fun (seed, drawn_chunk, force_index) ->
          let scen = W.Gen_expr.scenario ~seed ~depth:4 in
-         let db = scen.W.Gen_expr.db in
-         match
-           List.concat_map
-             (fun jobs ->
-               let plan =
-                 Engine.Planner.plan ~jobs ~cores:jobs ~parallel_threshold:0 db
-                   scen.W.Gen_expr.expr
-               in
-               List.map
-                 (fun chunk_size -> Engine.Exec.run ~chunk_size db plan)
-                 chunk_sizes)
-             jobs_list
-         with
-         | [] -> true
-         | r0 :: rest -> List.for_all (Relation.equal r0) rest
-         | exception Aggregate.Undefined _ -> true))
+         let db = with_index_on_1 scen.W.Gen_expr.db in
+         let check e =
+           match
+             let expected = Eval.eval db e in
+             List.for_all
+               (fun jobs ->
+                 let plan =
+                   Engine.Planner.plan ~jobs ~cores:jobs ~parallel_threshold:0
+                     ~force_index db e
+                 in
+                 if force_index && index_applies db e then
+                   Alcotest.(check bool)
+                     ("forced plan uses an index: " ^ Expr.to_string e)
+                     true
+                     (Test_index.plan_has
+                        (fun n ->
+                          Test_index.is_index_scan n
+                          || Test_index.is_index_join n)
+                        plan);
+                 List.for_all
+                   (fun chunk_size ->
+                     Relation.equal expected
+                       (Engine.Exec.run ~chunk_size db plan))
+                   (drawn_chunk :: chunk_sizes))
+               jobs_list
+           with
+           | ok -> ok
+           | exception Aggregate.Undefined _ -> true
+         in
+         let e = scen.W.Gen_expr.expr in
+         check e && check (index_probe db e)))
 
 (* --- chunk-boundary edge cases ----------------------------------------- *)
 

@@ -4,8 +4,9 @@
    and store untouched), every query and data statement is recorded
    exactly once under its front-end language, a transaction bracket is
    the same one-transaction batch under either isolation as the serial
-   [Transaction.run], and [describe] covers every documented error and
-   nothing else. *)
+   [Transaction.run], [describe] covers every documented error and
+   nothing else, and the session's chunk size and core count reach the
+   executor and planner. *)
 
 open Mxra_relational
 open Mxra_core
@@ -183,6 +184,67 @@ let test_describe () =
         (Session.describe e))
     [ Not_found; Failure "x" ]
 
+(* The session's chunk size and core count reach the engine.  Bag
+   equality cannot see chunking, but the root's chunk count in
+   sys.progress can: it is read when the executor's span closes, while
+   the query's slot is still live. *)
+let test_config_reaches_engine () =
+  Obs.Ash.set_enabled true;
+  let big =
+    Relation.of_list
+      (Schema.of_list [ ("k", Domain.DInt) ])
+      (List.init 5000 (fun i -> Tuple.of_list [ Value.Int i ]))
+  in
+  let db = Database.of_relations [ ("big", big) ] in
+  let e =
+    Expr.select (Pred.ge (Scalar.attr 1) (Scalar.int 0)) (Expr.rel "big")
+  in
+  let text = Expr.to_string e in
+  let root_chunks chunk_size =
+    let chunks = ref 0 in
+    let on_span (sp : Obs.Trace.span) =
+      if sp.name = "execute" then
+        List.iter
+          (fun (p : Obs.Ash.progress) ->
+            if p.p_text = text then chunks := p.p_chunks)
+          (Obs.Ash.progress ())
+    in
+    Obs.Trace.set_sinks [ { Obs.Trace.null_sink with on_span } ];
+    Fun.protect ~finally:Obs.Trace.close (fun () ->
+        ignore (Session.query (Session.make ~chunk_size ()) db e));
+    !chunks
+  in
+  Alcotest.(check int) "chunk size 1: a chunk per row" 5000 (root_chunks 1);
+  Alcotest.(check int) "chunk size 255" 20 (root_chunks 255);
+  (* 5000 rows clear the static Exchange floor at four fragments; one
+     core never fragments.  Measured Exchange outcomes would move the
+     floor, so each plan starts without any. *)
+  let exchanges cores =
+    Mxra_engine.Feedback.reset ();
+    let a = Session.query (Session.make ~jobs:4 ~cores ()) db e in
+    Mxra_engine.Physical.exchange_count a.Mxra_engine.Exec.root.node
+  in
+  Alcotest.(check bool) "4 cores: Exchange" true (exchanges 4 > 0);
+  Alcotest.(check int) "1 core: sequential" 0 (exchanges 1)
+
+(* Defaults are fixed values, not ambient ones: snapshot isolation,
+   the executor's default chunk size, the host's cores.  A session's
+   chunk size travels with its statements; the process-wide default
+   that callers without a session fall back on stays as it was. *)
+let test_defaults () =
+  let s = Session.make () in
+  Alcotest.(check string) "isolation" "si"
+    (Mxra_concurrency.Scheduler.isolation_name s.Session.isolation);
+  Alcotest.(check int) "chunk size" Mxra_engine.Exec.default_chunk_size
+    s.Session.chunk_size;
+  Alcotest.(check int) "cores" (Session.host_cores ()) s.Session.cores;
+  let before = Mxra_engine.Exec.chunk_size () in
+  ignore
+    (Session.query (Session.make ~chunk_size:1 ()) W.Beer.tiny
+       W.Beer.example_3_1);
+  Alcotest.(check int) "process-wide default untouched" before
+    (Mxra_engine.Exec.chunk_size ())
+
 let suite =
   ( "session",
     [
@@ -198,4 +260,8 @@ let suite =
         `Quick test_batch_of_one;
       Alcotest.test_case "describe covers every documented error" `Quick
         test_describe;
+      Alcotest.test_case "chunk size and cores reach the engine" `Quick
+        test_config_reaches_engine;
+      Alcotest.test_case "defaults: SI, default chunk size, host cores"
+        `Quick test_defaults;
     ] )
