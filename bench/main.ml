@@ -444,11 +444,7 @@ let e7_parallel () =
              plan@."
           parts;
         exit 1))
-    [ 1; 2; 4; 8; 16 ];
-  (* Forced Exchanges on a few thousand rows are not the planner's
-     question; keep their measured losses out of later experiments'
-     adaptive plans. *)
-  Feedback.reset ()
+    [ 1; 2; 4; 8; 16 ]
 
 (* ---------------------------------------------------------------- E8 *)
 
@@ -1025,7 +1021,6 @@ let e15_parallel_speedup () =
   let points =
     List.map
       (fun jobs ->
-        Ext.Pool.set_default_size jobs;
         let plan = Planner.plan ~jobs ~cores db e in
         let exchanges = Physical.exchange_count plan in
         let result = Exec.run db plan in
@@ -1044,7 +1039,6 @@ let e15_parallel_speedup () =
         (jobs, ms, speedup, exchanges, equal))
       sweep
   in
-  Ext.Pool.set_default_size 1;
   (* The chunked-vs-tuple-at-a-time comparison point, measured after the
      sweep so both sides run on a warmed-up host. *)
   let seq_ms, chunk1_ms, _ =

@@ -53,11 +53,10 @@ type out = {
       (** merged engine registry ([metrics] mode) *)
 }
 
-(* [--jobs N]: size the shared domain pool and plan with Exchange
-   nodes.  The pool is created lazily on first parallel execution. *)
+(* [--jobs N]: plan with Exchange nodes of up to [N] fragments; the
+   executor sizes the domain pool from each plan it runs. *)
 let set_jobs jobs =
   if jobs < 1 then invalid_arg "--jobs must be at least 1";
-  Mxra_ext.Pool.set_default_size jobs;
   jobs
 
 let merge_totals master src =

@@ -34,7 +34,6 @@ let telemetry () =
     ("sched.commits", float_of_int (Atomic.get total_commits));
     ("sched.batches", float_of_int (Atomic.get total_batches));
     ("sched.lock_wait_ms", float_of_int (Atomic.get total_lock_wait_us) /. 1000.0);
-    ("txn.conflicts", float_of_int (Atomic.get total_conflicts));
     ( "txn.snapshot_age",
       float_of_int (Atomic.get total_snapshot_age)
       /. float_of_int (max 1 si_commits) );

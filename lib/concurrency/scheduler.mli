@@ -135,8 +135,6 @@ val telemetry : unit -> (string * float) list
 (** Sampler probe over process-lifetime counters: [sched.steps],
     [sched.blocks], [sched.deadlocks], [sched.conflicts],
     [sched.commits], [sched.batches], [sched.lock_wait_ms] (2PL wait
-    time), [txn.conflicts] (= sched.conflicts, the SI abort counter
-    named from the transaction's point of view) and [txn.snapshot_age]
-    (mean commits that landed between a committed SI transaction's
-    snapshot and its own commit), summed across every batch run so
-    far. *)
+    time) and [txn.snapshot_age] (mean commits that landed between a
+    committed SI transaction's snapshot and its own commit), summed
+    across every batch run so far. *)

@@ -245,10 +245,5 @@ let index_join_wins ~keys ~outer ~inner =
    with the fragment count: splitting 600 rows four ways leaves
    fragments too small to amortise a dispatch even though 600 clears a
    512-row bar for two-way splitting. *)
-let exchange_floor ~parts ~threshold ~feedback_rows =
-  let static = float_of_int threshold in
-  let measured =
-    match feedback_rows with Some r -> float_of_int r | None -> static
-  in
-  let per_fragment = float_of_int (threshold * parts) /. 2.0 in
-  Float.max (Float.max static measured) per_fragment
+let exchange_floor ~parts ~threshold =
+  Float.max (float_of_int threshold) (float_of_int (threshold * parts) /. 2.0)

@@ -66,13 +66,9 @@ val index_join_wins : keys:float -> outer:float -> inner:float -> bool
 (** Whether an index nested-loop join — one probe per [outer] row — is
     predicted to beat a hash join's full build over [inner] rows. *)
 
-val exchange_floor :
-  parts:int -> threshold:int -> feedback_rows:int option -> float
+val exchange_floor : parts:int -> threshold:int -> float
 (** Minimum estimated input cardinality at which inserting an
-    [Exchange] with [parts] fragments is predicted to pay: the static
-    [threshold], raised to any measured break-even
-    ({!Feedback.min_profitable_rows}) when one is
-    given, and scaled with the fragment count so each fragment still
-    clears half the threshold on its own.  Callers that force a
-    threshold (tests passing 0) should pass [feedback_rows:None] so the
-    floor stays exactly what they asked for. *)
+    [Exchange] with [parts] fragments is predicted to pay:
+    [max threshold (threshold * parts / 2)], the static [threshold]
+    scaled with the fragment count so each fragment still clears half
+    of it on its own. *)

@@ -271,17 +271,12 @@ type 'a fragment_out = {
   frag_dur : float;
 }
 
-(* Run one thunk per fragment on the global pool (each fragment is one
-   morsel), emit the worker spans, and return the results in fragment
-   order.  The Exchange started at [t0] over [rows] materialised input
-   rows; [wall] covers exactly its own machinery — partition, pool
-   dispatch, fragments — while [busy] is the summed fragment work
-   alone.  [busy - wall], the time the pool saved over running the
-   fragments inline, goes to {!Feedback}: negative means this Exchange
-   should not have been inserted at this input size. *)
-let on_pool ~name ~t0 ~rows ~out_rows tasks =
+(* Run one thunk per fragment on the shared pool, grown first to one
+   lane per fragment (each fragment is one morsel), emit the worker
+   spans, and return the results in fragment order. *)
+let on_pool ~name ~out_rows tasks =
   let outs =
-    Pool.map_array ~chunk:1 (Pool.global ())
+    Pool.map_array ~chunk:1 (Pool.shared (Array.length tasks))
       (fun task ->
         let start = Trace.now_us () in
         let out = task () in
@@ -293,11 +288,6 @@ let on_pool ~name ~t0 ~rows ~out_rows tasks =
         })
       tasks
   in
-  let wall_ms = (Trace.now_us () -. t0) /. 1000.0 in
-  let busy_ms =
-    Array.fold_left (fun acc o -> acc +. o.frag_dur) 0.0 outs /. 1000.0
-  in
-  Feedback.note ~rows ~gain_ms:(busy_ms -. wall_ms);
   if Trace.enabled () then
     Array.iteri
       (fun i o ->
@@ -590,8 +580,7 @@ and exec_exchange cx plan parts child =
   (* The fused child never runs as a standalone stream, so the merged
      fragment output goes through its observation point — its EXPLAIN
      ANALYZE row then shows the rows its fragments produced.  Each
-     fragment's whole output is one chunk.  Inputs are materialised
-     before [t0], which starts the Exchange's own wall time. *)
+     fragment's whole output is one chunk. *)
   let emit outs =
     gauge cx plan "parts" parts;
     observed cx child (fun () ->
@@ -601,13 +590,10 @@ and exec_exchange cx plan parts child =
   | Physical.Hash_join { left_keys; right_keys; residual; left; right; _ } ->
       let lrows = concat_chunks (exec cx left) in
       let rrows = concat_chunks (exec cx right) in
-      let t0 = Trace.now_us () in
       let lb = partition ~parts ~keys:left_keys lrows in
       let rb = partition ~parts ~keys:right_keys rrows in
       emit
-        (on_pool ~name:"join-worker" ~t0
-           ~rows:(Array.length lrows + Array.length rrows)
-           ~out_rows:Array.length
+        (on_pool ~name:"join-worker" ~out_rows:Array.length
            (Array.init parts (fun i () ->
                 let table = TH.create 64 in
                 join_build right_keys table rb.(i);
@@ -618,7 +604,6 @@ and exec_exchange cx plan parts child =
   | Physical.Hash_aggregate (attrs, aggs, src) ->
       let g = grouping cx.db src attrs aggs in
       let rows = concat_chunks (exec cx src) in
-      let t0 = Trace.now_us () in
       let fragments =
         match attrs with
         | [] -> slices parts rows
@@ -630,7 +615,7 @@ and exec_exchange cx plan parts child =
         groups
       in
       let on_pool ~out_rows finish =
-        on_pool ~name:"agg-worker" ~t0 ~rows:(Array.length rows) ~out_rows
+        on_pool ~name:"agg-worker" ~out_rows
           (Array.map (fun fragment () -> finish (grouped fragment)) fragments)
       in
       if attrs = [] then begin
@@ -655,7 +640,6 @@ and exec_exchange cx plan parts child =
          stage is observed on the merged output by [emit]. *)
       let src, stages = chain child [] in
       let rows = concat_chunks (exec cx src) in
-      let t0 = Trace.now_us () in
       let fragment slice () =
         let tallies = List.map (fun _ -> Metrics.make_op ()) stages in
         let out = Vec.create 64 in
@@ -679,8 +663,7 @@ and exec_exchange cx plan parts child =
         (Vec.flush out, tallies)
       in
       let outs =
-        on_pool ~name:"scan-worker" ~t0 ~rows:(Array.length rows)
-          ~out_rows:(fun (c, _) -> Array.length c)
+        on_pool ~name:"scan-worker" ~out_rows:(fun (c, _) -> Array.length c)
           (Array.map fragment (slices parts rows))
       in
       Array.iter

@@ -281,14 +281,12 @@ let default_parallel_threshold = 512
    the estimated input cardinality clears the profitability floor.
    Below it the partition/merge overhead dominates any per-tuple win.
 
-   The pass is adaptive on three inputs: the host's core count caps the
-   fragment count (one core ⇒ no Exchange at all — fragments would just
-   queue behind each other plus pay partition/merge); the cost model
-   turns the threshold into a per-fragment floor ({!Cost.exchange_floor});
-   and measured Exchange outcomes ({!Feedback}) raise
-   or lower that floor as the process learns what actually pays here.
-   An explicit [threshold] disables the feedback term so forced-parallel
-   tests stay deterministic. *)
+   The pass is adaptive on two inputs: the core count caps the fragment
+   count (one core ⇒ no Exchange at all — fragments would just queue
+   behind each other plus pay partition/merge); and the cost model
+   turns the threshold into a per-fragment floor
+   ({!Cost.exchange_floor}).  Nothing else enters, so the plan depends
+   only on the expression, the statistics and these arguments. *)
 let parallelize ~stats ~schemas ~jobs ?cores ?threshold plan =
   let cores =
     match cores with
@@ -298,18 +296,13 @@ let parallelize ~stats ~schemas ~jobs ?cores ?threshold plan =
   let parts = min jobs cores in
   if parts <= 1 then plan
   else
-    let feedback_rows =
-      match threshold with
-      | Some _ -> None
-      | None -> Feedback.min_profitable_rows ()
-    in
     let threshold =
       Option.value ~default:default_parallel_threshold threshold
     in
     let est p =
       Cost.estimate_cardinality ~stats ~schemas (Physical.to_logical p)
     in
-    let thr = Cost.exchange_floor ~parts ~threshold ~feedback_rows in
+    let thr = Cost.exchange_floor ~parts ~threshold in
     let exchange child = Physical.Exchange { parts; child } in
     (* A σ/π chain split into its source and a rebuilding context, so
        the whole pipeline lands under one Exchange. *)

@@ -49,12 +49,11 @@ val parallelize :
     profitability floor ({!Cost.exchange_floor}).
 
     Adaptive: the fragment count is [min jobs cores] with [cores]
-    defaulting to [Stdlib.Domain.recommended_domain_count ()] — on one core the plan is returned
-    unchanged, parallelizing there is a planner bug — and, when no
-    explicit [threshold] is given, the floor folds in the measured
-    break-even from {!Feedback}.  Passing [threshold]
-    (tests pass 0 to force Exchange everywhere) disables the feedback
-    term. *)
+    defaulting to [Stdlib.Domain.recommended_domain_count ()] — on one
+    core the plan is returned unchanged, parallelizing there is a
+    planner bug.  [threshold] defaults to
+    {!default_parallel_threshold}; tests pass 0 to force Exchange
+    everywhere.  The result depends on nothing but the arguments. *)
 
 val plan_with :
   ?stats:Stats.env ->
@@ -62,8 +61,8 @@ val plan_with :
   Typecheck.env ->
   Expr.t ->
   Physical.t
-(** Translation against an explicit schema environment (used by the
-    optimizer when costing candidate plans without a live database).
+(** Translation against an explicit schema environment, without a live
+    database (bench E18 plans its join-order candidates this way).
     [indexes] lists the secondary-index definitions available on a named
     relation (default: none, so index paths are never chosen); [stats]
     feeds the index-vs-scan cost comparison (default: no statistics,

@@ -2,7 +2,7 @@
    domains of [Mxra_relational]. *)
 
 type t = {
-  lanes : int;
+  mutable lanes : int;
   queue : (unit -> unit) Queue.t;
   lock : Mutex.t;
   work_ready : Condition.t;
@@ -169,20 +169,30 @@ let stats pool =
     s_maps = Atomic.get pool.n_maps;
   }
 
+(* Grow [pool] to [n] lanes in place: the new workers join the same
+   queue, so a [map_array] already in flight on another thread only
+   sees extra lanes that find no morsels left. *)
+let grow pool n =
+  Mutex.protect pool.lock @@ fun () ->
+  if n > pool.lanes && not pool.closed then begin
+    pool.domains <-
+      Array.append pool.domains
+        (Array.init (n - pool.lanes) (fun _ ->
+             Domain.spawn (fun () -> worker_loop pool)));
+    pool.lanes <- n
+  end
+
 (* --- the process-wide pool --------------------------------------------- *)
 
-let configured = ref 1
 let installed = ref None
 
-let set_default_size n = configured := max 1 n
-let default_size () = !configured
-
-let global () =
+let shared n =
   match !installed with
-  | Some pool when pool.lanes = !configured -> pool
-  | existing ->
-      Option.iter shutdown existing;
-      let pool = create !configured in
+  | Some pool ->
+      grow pool n;
+      pool
+  | None ->
+      let pool = create n in
       installed := Some pool;
       pool
 
@@ -192,7 +202,7 @@ let telemetry () =
   match !installed with
   | None ->
       [
-        ("pool.lanes", float_of_int !configured);
+        ("pool.lanes", 1.0);
         ("pool.queued", 0.0);
         ("pool.busy", 0.0);
         ("pool.maps", 0.0);

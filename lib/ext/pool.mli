@@ -1,7 +1,7 @@
-(** A fixed-size domain pool for real multicore execution.
+(** A domain pool for real multicore execution.
 
     OCaml 5 gives the runtime true parallelism through domains; this
-    module keeps a fixed set of them alive behind a mutex/condition work
+    module keeps a set of them alive behind a mutex/condition work
     queue so that query execution can fan work out without paying a
     [Domain.spawn] (~100µs and a fresh minor heap) per operator.  No
     external dependency is used — the pool is raw [Stdlib.Domain] plus
@@ -53,24 +53,20 @@ val map_array : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 val mapi_array : ?chunk:int -> t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** {!map_array} with the element index, for labelling fragments. *)
 
-(** {1 The process-wide pool}
+(** {1 The shared pool}
 
     Engine operators ({!Mxra_engine.Exec} executing an [Exchange] node)
-    need a pool but must not spawn one per query.  The global pool is
-    created lazily at the configured size and recreated if the size
-    changes; it is intended to be configured once at startup (bagdb's
-    [--jobs N]) from the main domain.  An [at_exit] hook joins its
-    domains so the process always terminates cleanly. *)
+    need a pool but must not spawn one per query.  The shared pool is
+    created on first use and sized by its callers: each asks for the
+    lanes it is about to use, and the pool grows to the largest request
+    seen and never shrinks, so alternating sizes never respawn
+    domains.  An [at_exit] hook joins its domains so the process always
+    terminates cleanly. *)
 
-val set_default_size : int -> unit
-(** Set the size of the global pool (clamped to [>= 1]; default 1, so
-    parallel execution is opt-in). *)
-
-val default_size : unit -> int
-
-val global : unit -> t
-(** The process-wide pool at the current default size.  Not
-    thread-safe: call from the main domain, between queries. *)
+val shared : int -> t
+(** [shared n] is the shared pool, first grown to at least [n] lanes.
+    Call it on the domain that dispatches the work, before
+    {!map_array}. *)
 
 (** {1 Telemetry} *)
 
@@ -86,7 +82,7 @@ val stats : t -> stats
     only, safe from any domain, no lock taken. *)
 
 val telemetry : unit -> (string * float) list
-(** Sampler probe over the {e installed} global pool: series
-    [pool.lanes], [pool.queued], [pool.busy] and [pool.maps].  Never
-    creates the pool — if none is installed yet it reports the
-    configured lane count and zeros. *)
+(** Sampler probe over the shared pool: series [pool.lanes],
+    [pool.queued], [pool.busy] and [pool.maps].  Never creates the
+    pool — before the first {!shared} call it reports the caller's one
+    lane and zeros. *)

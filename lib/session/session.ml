@@ -81,17 +81,14 @@ let query ?(lang = "xra") t db e =
   let db = Syscat.attach_for db e in
   let e = if t.optimize then Optimizer.optimize_db db e else e in
   let plan = plan t db e in
-  if Obs.Ash.live slot then begin
+  if Obs.Ash.live slot then
     (* Root-cardinality estimate, so sys.progress can report rows
        against the planner's expectation. *)
-    try
-      Obs.Ash.set_estimate slot
-        (Engine.Cost.estimate_cardinality
-           ~stats:(Engine.Stats.env_of_database db)
-           ~schemas:(Typecheck.env_of_database db)
-           e)
-    with _ -> ()
-  end;
+    Obs.Ash.set_estimate slot
+      (Engine.Cost.estimate_cardinality
+         ~stats:(Engine.Stats.env_of_database db)
+         ~schemas:(Typecheck.env_of_database db)
+         e);
   Obs.Ash.with_slot slot @@ fun () ->
   (* One run yields the result, the timing and the tuple traffic — the
      same figures whatever the front end chooses to print. *)

@@ -195,8 +195,6 @@ let rule_properties = List.map rule_property Equiv.all_rules
    must be the same bag.  A law that held in Eval but broke in a
    physical operator, in its parallel split, or only at a particular
    chunk boundary surfaces here. *)
-let () = Mxra_ext.Pool.set_default_size 4
-
 let chunk_sizes = [ 1; 7; 64; 1024 ]
 let jobs_list = [ 1; 2; 4 ]
 

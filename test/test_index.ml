@@ -11,8 +11,6 @@ module Engine = Mxra_engine
 module Index = Mxra_ext.Index
 module W = Mxra_workload
 
-let () = Mxra_ext.Pool.set_default_size 4
-
 let relation_t =
   Alcotest.testable (fun ppf r -> Relation.pp ppf r) Relation.equal
 

@@ -5,8 +5,8 @@
    exactly once under its front-end language, a transaction bracket is
    the same one-transaction batch under either isolation as the serial
    [Transaction.run], [describe] covers every documented error and
-   nothing else, and the session's chunk size and core count reach the
-   executor and planner. *)
+   nothing else, the session's chunk size and core count reach the
+   executor and planner, and its jobs size the domain pool. *)
 
 open Mxra_relational
 open Mxra_core
@@ -188,17 +188,21 @@ let test_describe () =
    equality cannot see chunking, but the root's chunk count in
    sys.progress can: it is read when the executor's span closes, while
    the query's slot is still live. *)
+let big_db =
+  Database.of_relations
+    [
+      ( "big",
+        Relation.of_list
+          (Schema.of_list [ ("k", Domain.DInt) ])
+          (List.init 5000 (fun i -> Tuple.of_list [ Value.Int i ])) );
+    ]
+
+let scan_big =
+  Expr.select (Pred.ge (Scalar.attr 1) (Scalar.int 0)) (Expr.rel "big")
+
 let test_config_reaches_engine () =
   Obs.Ash.set_enabled true;
-  let big =
-    Relation.of_list
-      (Schema.of_list [ ("k", Domain.DInt) ])
-      (List.init 5000 (fun i -> Tuple.of_list [ Value.Int i ]))
-  in
-  let db = Database.of_relations [ ("big", big) ] in
-  let e =
-    Expr.select (Pred.ge (Scalar.attr 1) (Scalar.int 0)) (Expr.rel "big")
-  in
+  let db = big_db and e = scan_big in
   let text = Expr.to_string e in
   let root_chunks chunk_size =
     let chunks = ref 0 in
@@ -217,15 +221,31 @@ let test_config_reaches_engine () =
   Alcotest.(check int) "chunk size 1: a chunk per row" 5000 (root_chunks 1);
   Alcotest.(check int) "chunk size 255" 20 (root_chunks 255);
   (* 5000 rows clear the static Exchange floor at four fragments; one
-     core never fragments.  Measured Exchange outcomes would move the
-     floor, so each plan starts without any. *)
+     core never fragments. *)
   let exchanges cores =
-    Mxra_engine.Feedback.reset ();
     let a = Session.query (Session.make ~jobs:4 ~cores ()) db e in
     Mxra_engine.Physical.exchange_count a.Mxra_engine.Exec.root.node
   in
   Alcotest.(check bool) "4 cores: Exchange" true (exchanges 4 > 0);
   Alcotest.(check int) "1 core: sequential" 0 (exchanges 1)
+
+(* The session's jobs reach the executor: an Exchange plan of four
+   fragments runs on at least four pool lanes, with no pool set-up by
+   the caller. *)
+let test_jobs_size_the_pool () =
+  let s = Session.make ~jobs:4 ~cores:4 () in
+  let a = Session.query s big_db scan_big in
+  Alcotest.(check bool) "an Exchange plan" true
+    (Mxra_engine.Physical.exchange_count a.Mxra_engine.Exec.root.node > 0);
+  let lanes =
+    Relation.to_list (Session.query s big_db (Expr.rel "sys.pool")).result
+    |> List.find_map (fun t ->
+           match Tuple.to_list t with
+           | [ Value.Str "pool.lanes"; Value.Float v ] -> Some v
+           | _ -> None)
+  in
+  Alcotest.(check bool) "pool.lanes >= 4" true
+    (match lanes with Some v -> v >= 4.0 | None -> false)
 
 (* Defaults are fixed values, not ambient ones: snapshot isolation,
    the executor's default chunk size, the host's cores.  A session's
@@ -262,6 +282,8 @@ let suite =
         test_describe;
       Alcotest.test_case "chunk size and cores reach the engine" `Quick
         test_config_reaches_engine;
+      Alcotest.test_case "a session's jobs size the domain pool" `Quick
+        test_jobs_size_the_pool;
       Alcotest.test_case "defaults: SI, default chunk size, host cores"
         `Quick test_defaults;
     ] )
