@@ -325,14 +325,6 @@ let project_chunk exprs c =
     (fun (tuple, n) -> (Tuple.of_list (List.map (Scalar.eval tuple) exprs), n))
     c
 
-(* A maximal σ/π chain: its source and its stages, bottom first. *)
-let rec chain plan stages =
-  match plan with
-  | Physical.Filter (p, t) -> chain t ((plan, filter_chunk p) :: stages)
-  | Physical.Project_op (exprs, t) ->
-      chain t ((plan, project_chunk exprs) :: stages)
-  | src -> (src, stages)
-
 (* --- the observation point ---------------------------------------------- *)
 
 (* Add a chunk's elements, rows (weighted by multiplicity) and cells
@@ -351,43 +343,54 @@ let tally (m : Metrics.op) c =
   Metrics.add m.Metrics.cells !cells;
   !rows
 
-(* One execution.  Every operator of the plan has one record, keyed by
-   physical identity: the planner allocates a fresh node per tree
-   position, so [==] distinguishes structurally equal siblings.  (If a
-   caller builds a plan with a physically shared subtree, its uses
-   merge into one record — the report then shows the combined figures
-   at each occurrence.)  [slot] is the statement's activity-registry
-   slot, if it registered one ({!Mxra_obs.Ash.with_slot}). *)
+(* One execution.  [context] builds the run's operator tree once: one
+   [node] per plan position, holding that position's operator, its
+   record and its input nodes, so every walk below — execution, the
+   report, the [sys.operators] feed, the totals — follows the tree and
+   never searches for an operator.  Structurally equal or physically
+   shared subplans at two positions get two records.  [slot] is the
+   statement's activity-registry slot, if it registered one
+   ({!Mxra_obs.Ash.with_slot}). *)
+type node = { plan : Physical.t; m : Metrics.op; inputs : node list }
+
 type ctx = {
   db : Database.t;
   size : int;
-  root : Physical.t;
-  ops : (Physical.t * Metrics.op) list;
+  root : node;
   slot : Ash.slot option;
   traced : bool;
 }
 
+let rec node_of plan =
+  {
+    plan;
+    m = Metrics.make_op ();
+    inputs = List.map node_of (Physical.children plan);
+  }
+
 let context ?chunk_size db plan =
-  let ops = ref [] in
-  let rec register p =
-    ops := (p, Metrics.make_op ()) :: !ops;
-    List.iter register (Physical.children p)
-  in
-  register plan;
   {
     db;
     size = (match chunk_size with Some n -> max 1 n | None -> !chunk_ref);
-    root = plan;
-    ops = !ops;
+    root = node_of plan;
     slot = Ash.current ();
     traced = Trace.enabled ();
   }
 
-let find cx p = snd (List.find (fun (q, _) -> q == p) cx.ops)
+(* Every node of the tree, parents before children. *)
+let rec fold_nodes f acc n = List.fold_left (fold_nodes f) (f acc n) n.inputs
+
+(* A maximal σ/π chain: its source and its stages, bottom first. *)
+let rec chain n stages =
+  match (n.plan, n.inputs) with
+  | Physical.Filter (p, _), [ t ] -> chain t ((n, filter_chunk p) :: stages)
+  | Physical.Project_op (exprs, _), [ t ] ->
+      chain t ((n, project_chunk exprs) :: stages)
+  | _ -> (n, stages)
 
 (* An operator-specific gauge: hash-build size, group count,
    materialised inner cardinality. *)
-let gauge cx p key v = Metrics.set_detail (find cx p) key v
+let gauge n key v = Metrics.set_detail n.m key v
 
 (* A traced operator's span runs from stream construction to stream
    exhaustion — its lifetime in the pipeline, which in a lazy engine
@@ -401,23 +404,23 @@ let op_span_attrs p (m : Metrics.op) =
   :: ("wall_ms", Trace.Float (Metrics.elapsed_ms m.Metrics.wall))
   :: List.map (fun (k, v) -> (k, Trace.Int v)) (Metrics.details m)
 
-(* The one observation point: [observed cx p thunk] builds operator
-   [p]'s output stream (eager work — hash builds, sorts, scan chunking —
+(* The one observation point: [observed cx n thunk] builds node [n]'s
+   output stream (eager work — hash builds, sorts, scan chunking —
    happens inside the thunk) and wraps it once.  Each pull is timed,
    inclusive of child pulls as in EXPLAIN ANALYZE's actual time, and
-   each chunk is tallied into [p]'s record.  Inside a live ASH slot
-   every chunk stamps [p] as the operator currently producing, and
-   chunks leaving the root advance the statement's rows, so
-   sys.progress moves while the query runs.  Under tracing the
+   each chunk is tallied into [n]'s record.  Inside a live ASH slot
+   every chunk stamps [n]'s operator as the one currently producing,
+   and chunks leaving the root ([~root:true]) advance the statement's
+   rows, so sys.progress moves while the query runs.  Under tracing the
    operator's span is emitted at the first exhaustion. *)
-let observed cx p thunk =
-  let m = find cx p in
+let observed ?(root = false) cx n thunk =
+  let p = n.plan and m = n.m in
   let stamp =
     match cx.slot with
     | None -> ignore
     | Some slot ->
         let kind = Physical.kind p in
-        if p == cx.root then fun rows ->
+        if root then fun rows ->
           Ash.set_operator slot kind;
           Ash.advance slot ~rows
         else fun _ -> Ash.set_operator slot kind
@@ -460,18 +463,20 @@ let count_table chunks =
     chunks;
   table
 
-let rec exec cx plan : chunk Seq.t =
-  observed cx plan (fun () -> exec_node cx plan)
+let rec exec ?root cx n : chunk Seq.t =
+  observed ?root cx n (fun () -> exec_node cx n)
 
-and exec_node cx plan : chunk Seq.t =
+and exec_node cx n : chunk Seq.t =
   let size = cx.size and db = cx.db in
-  match plan with
+  (* The observed stream of the [i]th input. *)
+  let input i = exec cx (List.nth n.inputs i) in
+  match n.plan with
   | Physical.Const_scan r -> chunks_of_bag size (Relation.bag r)
   | Physical.Seq_scan name ->
       chunks_of_bag size (Relation.bag (Database.find name db))
   | Physical.Index_scan { def; access; residual } ->
       let idx = Index.get def (Database.find def.idx_rel db) in
-      gauge cx plan "keys" (Index.distinct_keys idx);
+      gauge n "keys" (Index.distinct_keys idx);
       let matches = Index.probe idx access in
       let matches =
         match residual with
@@ -479,11 +484,11 @@ and exec_node cx plan : chunk Seq.t =
         | p -> Seq.filter (fun (t, _) -> Pred.eval t p) matches
       in
       chunks_of_seq size matches
-  | Physical.Index_join { def; outer_keys; residual; outer; _ } ->
+  | Physical.Index_join { def; outer_keys; residual; _ } ->
       (* Probe the inner relation's index once per outer row — no build
          phase; the structure is shared via the index cache. *)
       let idx = Index.get def (Database.find def.idx_rel db) in
-      gauge cx plan "keys" (Index.distinct_keys idx);
+      gauge n "keys" (Index.distinct_keys idx);
       expand_chunks size
         (fun push ->
           Array.iter (fun (ltuple, ln) ->
@@ -493,13 +498,13 @@ and exec_node cx plan : chunk Seq.t =
                   let combined = Tuple.concat ltuple rtuple in
                   if Pred.eval combined residual then push (combined, ln * rn))
                 (Index.probe_point idx key)))
-        (exec cx outer)
-  | Physical.Filter (p, t) ->
+        (input 0)
+  | Physical.Filter (p, _) ->
       Seq.filter
         (fun c -> Array.length c > 0)
-        (Seq.map (filter_chunk p) (exec cx t))
-  | Physical.Project_op (exprs, t) -> Seq.map (project_chunk exprs) (exec cx t)
-  | Physical.Hash_join { left_keys; right_keys; residual; left; right; _ } ->
+        (Seq.map (filter_chunk p) (input 0))
+  | Physical.Project_op (exprs, _) -> Seq.map (project_chunk exprs) (input 0)
+  | Physical.Hash_join { left_keys; right_keys; residual; _ } ->
       (* Build on the right, probe (pipelined, chunk at a time) from the
          left. *)
       let table = TH.create 256 in
@@ -508,15 +513,15 @@ and exec_node cx plan : chunk Seq.t =
         (fun c ->
           entries := !entries + Array.length c;
           join_build right_keys table c)
-        (exec cx right);
-      gauge cx plan "build" !entries;
-      gauge cx plan "keys" (TH.length table);
+        (input 1);
+      gauge n "build" !entries;
+      gauge n "keys" (TH.length table);
       expand_chunks size
         (join_probe table ~keys:left_keys ~residual)
-        (exec cx left)
-  | Physical.Nested_loop (p, l, r) ->
-      let right_rows = concat_chunks (exec cx r) in
-      gauge cx plan "inner" (Array.length right_rows);
+        (input 0)
+  | Physical.Nested_loop (p, _, _) ->
+      let right_rows = concat_chunks (input 1) in
+      gauge n "inner" (Array.length right_rows);
       expand_chunks size
         (fun push ->
           Array.iter (fun (ltuple, ln) ->
@@ -525,71 +530,73 @@ and exec_node cx plan : chunk Seq.t =
                   let combined = Tuple.concat ltuple rtuple in
                   if Pred.eval combined p then push (combined, ln * rn))
                 right_rows))
-        (exec cx l)
-  | Physical.Cross_product (l, r) ->
-      let right_rows = concat_chunks (exec cx r) in
-      gauge cx plan "inner" (Array.length right_rows);
+        (input 0)
+  | Physical.Cross_product _ ->
+      let right_rows = concat_chunks (input 1) in
+      gauge n "inner" (Array.length right_rows);
       expand_chunks size
         (fun push ->
           Array.iter (fun (ltuple, ln) ->
               Array.iter
                 (fun (rtuple, rn) -> push (Tuple.concat ltuple rtuple, ln * rn))
                 right_rows))
-        (exec cx l)
-  | Physical.Union_all (l, r) -> Seq.append (exec cx l) (exec cx r)
-  | Physical.Hash_diff (l, r) ->
-      let left_counts = count_table (exec cx l) in
-      let right_counts = count_table (exec cx r) in
-      gauge cx plan "left-keys" (TH.length left_counts);
-      gauge cx plan "right-keys" (TH.length right_counts);
+        (input 0)
+  | Physical.Union_all _ -> Seq.append (input 0) (input 1)
+  | Physical.Hash_diff _ ->
+      let left_counts = count_table (input 0) in
+      let right_counts = count_table (input 1) in
+      gauge n "left-keys" (TH.length left_counts);
+      gauge n "right-keys" (TH.length right_counts);
       let monus (t, ln) =
         let rn = Option.value ~default:0 (TH.find_opt right_counts t) in
         if ln > rn then Some (t, ln - rn) else None
       in
       chunks_of_seq size (Seq.filter_map monus (TH.to_seq left_counts))
-  | Physical.Hash_intersect (l, r) ->
-      let left_counts = count_table (exec cx l) in
-      let right_counts = count_table (exec cx r) in
-      gauge cx plan "left-keys" (TH.length left_counts);
-      gauge cx plan "right-keys" (TH.length right_counts);
+  | Physical.Hash_intersect _ ->
+      let left_counts = count_table (input 0) in
+      let right_counts = count_table (input 1) in
+      gauge n "left-keys" (TH.length left_counts);
+      gauge n "right-keys" (TH.length right_counts);
       let pointwise_min (t, ln) =
         match TH.find_opt right_counts t with
         | Some rn -> Some (t, min ln rn)
         | None -> None
       in
       chunks_of_seq size (Seq.filter_map pointwise_min (TH.to_seq left_counts))
-  | Physical.Hash_distinct t ->
+  | Physical.Hash_distinct _ ->
       let seen = TH.create 64 in
       Seq.iter
         (Array.iter (fun (tuple, _) -> TH.replace seen tuple ()))
-        (exec cx t);
-      gauge cx plan "distinct" (TH.length seen);
+        (input 0);
+      gauge n "distinct" (TH.length seen);
       chunks_of_seq size (Seq.map (fun (tuple, ()) -> (tuple, 1)) (TH.to_seq seen))
   | Physical.Hash_aggregate (attrs, aggs, t) ->
       let g = grouping db t attrs aggs in
       let groups = TH.create 64 in
-      Seq.iter (group_rows g groups) (exec cx t);
+      Seq.iter (group_rows g groups) (input 0);
       let out = finish_groups g groups in
-      gauge cx plan "groups" (TH.length groups);
+      gauge n "groups" (TH.length groups);
       chunks_of_seq size out
-  | Physical.Exchange { parts; child } -> exec_exchange cx plan parts child
+  | Physical.Exchange { parts; _ } ->
+      exec_exchange cx n parts (List.hd n.inputs)
 
 (* --- parallel execution of an Exchange node ---------------------------- *)
 
-and exec_exchange cx plan parts child =
+and exec_exchange cx n parts child =
   (* The fused child never runs as a standalone stream, so the merged
      fragment output goes through its observation point — its EXPLAIN
      ANALYZE row then shows the rows its fragments produced.  Each
      fragment's whole output is one chunk. *)
   let emit outs =
-    gauge cx plan "parts" parts;
+    gauge n "parts" parts;
     observed cx child (fun () ->
         Seq.filter (fun c -> Array.length c > 0) (Array.to_seq outs))
   in
-  match child with
-  | Physical.Hash_join { left_keys; right_keys; residual; left; right; _ } ->
-      let lrows = concat_chunks (exec cx left) in
-      let rrows = concat_chunks (exec cx right) in
+  let input i = exec cx (List.nth child.inputs i) in
+  match child.plan with
+  | Physical.Hash_join { left_keys; right_keys; residual; _ } ->
+      let lrows = concat_chunks (input 0) in
+      let rrows = concat_chunks (input 1) in
       let lb = partition ~parts ~keys:left_keys lrows in
       let rb = partition ~parts ~keys:right_keys rrows in
       emit
@@ -603,7 +610,7 @@ and exec_exchange cx plan parts child =
                 Vec.flush out)))
   | Physical.Hash_aggregate (attrs, aggs, src) ->
       let g = grouping cx.db src attrs aggs in
-      let rows = concat_chunks (exec cx src) in
+      let rows = concat_chunks (input 0) in
       let fragments =
         match attrs with
         | [] -> slices parts rows
@@ -643,10 +650,10 @@ and exec_exchange cx plan parts child =
       let fragment slice () =
         let tallies = List.map (fun _ -> Metrics.make_op ()) stages in
         let out = Vec.create 64 in
-        let n = Array.length slice in
+        let len = Array.length slice in
         let rec go lo =
-          if lo < n then begin
-            let c = Array.sub slice lo (min cx.size (n - lo)) in
+          if lo < len then begin
+            let c = Array.sub slice lo (min cx.size (len - lo)) in
             let c =
               List.fold_left2
                 (fun c (_, kernel) m ->
@@ -671,7 +678,7 @@ and exec_exchange cx plan parts child =
           List.iter2
             (fun (stage, _) (m : Metrics.op) ->
               if stage != child then begin
-                let into = find cx stage in
+                let into = stage.m in
                 Metrics.add into.Metrics.elems (Metrics.count m.Metrics.elems);
                 Metrics.add into.Metrics.rows (Metrics.count m.Metrics.rows);
                 Metrics.add into.Metrics.cells (Metrics.count m.Metrics.cells)
@@ -679,7 +686,7 @@ and exec_exchange cx plan parts child =
             stages tallies)
         outs;
       emit (Array.map fst outs)
-  | child ->
+  | _ ->
       (* The planner only wraps the shapes above; anything else is
          executed sequentially — Exchange is then a no-op. *)
       exec cx child
@@ -701,14 +708,14 @@ let materialize db plan chunks =
    same convention as the EXPLAIN ANALYZE report rows. *)
 let feed_op_stats cx =
   if Mxra_obs.Stmt_stats.enabled () then
-    List.iter
-      (fun (p, (m : Metrics.op)) ->
-        Mxra_obs.Op_stats.record ~op:(Physical.kind p)
+    fold_nodes
+      (fun () { plan; m; _ } ->
+        Mxra_obs.Op_stats.record ~op:(Physical.kind plan)
           ~elems:(Metrics.count m.Metrics.elems)
           ~rows:(Metrics.count m.Metrics.rows)
           ~cells:(Metrics.count m.Metrics.cells)
           ~wall_ms:(Metrics.elapsed_ms m.Metrics.wall))
-      cx.ops
+      () cx.root
 
 (* --- instrumented execution ------------------------------------------- *)
 
@@ -743,7 +750,7 @@ let run_instrumented ?chunk_size db plan =
         Trace.with_span "execute"
           ~attrs:[ ("operators", Trace.Int (Physical.size plan)) ]
           (fun () ->
-            let r = materialize db plan (exec cx plan) in
+            let r = materialize db plan (exec ~root:true cx cx.root) in
             Trace.add_attr "rows" (Trace.Int (Relation.cardinal r));
             r))
   in
@@ -751,8 +758,7 @@ let run_instrumented ?chunk_size db plan =
   (* Estimates cost a statistics pass over the database: it runs once,
      when the first estimate is read. *)
   let env = lazy (Stats.env_of_database db, Typecheck.env_of_database db) in
-  let rec report_of p =
-    let m = find cx p in
+  let rec report_of ({ plan; m; inputs } : node) =
     let actual =
       {
         out_elems = Metrics.count m.Metrics.elems;
@@ -765,23 +771,23 @@ let run_instrumented ?chunk_size db plan =
     let estimated_rows =
       lazy
         (let stats, schemas = Lazy.force env in
-         Cost.estimate_cardinality ~stats ~schemas (Physical.to_logical p))
+         Cost.estimate_cardinality ~stats ~schemas (Physical.to_logical plan))
     in
     {
-      node = p;
+      node = plan;
       estimated_rows;
       actual;
       q_error =
         lazy
           (Cost.q_error ~estimated:(Lazy.force estimated_rows)
              ~actual:actual.out_rows);
-      inputs = List.map report_of (Physical.children p);
+      inputs = List.map report_of inputs;
     }
   in
-  let root = report_of plan in
+  let root = report_of cx.root in
   let totals = Metrics.create () in
   let sum f =
-    List.fold_left (fun acc (_, m) -> acc + Metrics.count (f m)) 0 cx.ops
+    fold_nodes (fun acc (n : node) -> acc + Metrics.count (f n.m)) 0 cx.root
   in
   Metrics.add (Metrics.counter totals "tuples-moved")
     (sum (fun m -> m.Metrics.elems));
@@ -797,7 +803,7 @@ let run ?chunk_size db plan = (run_instrumented ?chunk_size db plan).result
 let stream ?chunk_size db plan =
   let cx = context ?chunk_size db plan in
   Seq.append
-    (Seq.concat_map Array.to_seq (exec cx plan))
+    (Seq.concat_map Array.to_seq (exec ~root:true cx cx.root))
     (fun () ->
       feed_op_stats cx;
       Seq.Nil)
@@ -812,23 +818,14 @@ let explain_analyze ?chunk_size ?jobs db e =
 let pp_details ppf details =
   List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) details
 
-let annot_table root =
-  let entries = ref [] in
-  let rec collect r =
-    entries := (r.node, r) :: !entries;
-    List.iter collect r.inputs
-  in
-  collect root;
-  let entries = !entries in
-  fun p ->
-    match List.find_opt (fun (q, _) -> q == p) entries with
-    | Some (_, r) -> r
-    | None -> invalid_arg "Exec.annot_table: node not in report"
-
+(* The report tree mirrors the plan, so its preorder numbering is the
+   plan's: the [i]th line {!Physical.pp_annotated} prints is
+   [reports.(i)]. *)
 let pp_analysis ppf a =
-  let lookup = annot_table a.root in
-  let annot p =
-    let r = lookup p in
+  let rec preorder acc r = List.fold_left preorder (r :: acc) r.inputs in
+  let reports = Array.of_list (List.rev (preorder [] a.root)) in
+  let annot i _ =
+    let r = reports.(i) in
     Format.asprintf "(est=%.0f act=%d q=%.2f time=%.2fms%a)"
       (Lazy.force r.estimated_rows) r.actual.out_rows (Lazy.force r.q_error)
       r.actual.wall_ms pp_details
@@ -844,7 +841,7 @@ let analysis_to_string a = Format.asprintf "%a" pp_analysis a
 let pp_estimates db ppf plan =
   let stats = Stats.env_of_database db in
   let schemas = Typecheck.env_of_database db in
-  let annot p =
+  let annot _ p =
     Format.asprintf "(est=%.0f)"
       (Cost.estimate_cardinality ~stats ~schemas (Physical.to_logical p))
   in

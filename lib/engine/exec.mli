@@ -39,8 +39,11 @@ val set_chunk_size : int -> unit
 
 (** {1 Execution}
 
-    There is one way to run a plan.  Every operator's output passes
-    through one observation point that, chunk by chunk, tallies the
+    There is one way to run a plan.  Each run builds its operator tree
+    once, with one record per plan position: a subplan that occurs at
+    two positions, even one physically shared between them, is two
+    operators with two records.  Every operator's output passes through
+    one observation point that, chunk by chunk, tallies the
     counted-tuple elements, tuples (with multiplicity) and cells it
     emits and its inclusive wall time into that operator's record.
     Because the engine runs on the paper's counted representation
@@ -96,8 +99,9 @@ val work_balance : (Tuple.t * int) array array -> float
 
 (** {1 Instrumented execution — EXPLAIN ANALYZE}
 
-    The per-operator records of one execution, as a tree, with the
-    optimizer's estimate next to each operator's actual rows.  Estimates
+    The per-operator records of one execution, as a tree that mirrors
+    the plan position for position, with the optimizer's estimate next
+    to each operator's actual rows.  Estimates
     cost a statistics pass over the database, so they are lazy: the pass
     runs once, when the first estimate or q-error is forced (rendering
     with {!pp_analysis} forces them), and never when nothing reads
@@ -118,9 +122,9 @@ type report = {
   estimated_rows : float Lazy.t;
       (** the optimizer's estimate ({!Cost.estimate_cardinality}) for
           this operator's logical image, from the database's statistics *)
-  actual : op_metrics;
+  actual : op_metrics;  (** this position's record *)
   q_error : float Lazy.t;  (** {!Cost.q_error} of estimated vs actual rows *)
-  inputs : report list;
+  inputs : report list;  (** the reports of [node]'s children, in order *)
 }
 
 type analysis = {

@@ -103,40 +103,6 @@ let rec to_logical plan =
       Expr.GroupBy (attrs, aggs, to_logical t)
   | Exchange { child; _ } -> to_logical child
 
-let rec size = function
-  | Const_scan _ | Seq_scan _ | Index_scan _ -> 1
-  | Index_join { outer; _ } -> 1 + size outer
-  | Filter (_, t) | Project_op (_, t) | Hash_distinct t
-  | Hash_aggregate (_, _, t)
-  | Exchange { child = t; _ } ->
-      1 + size t
-  | Hash_join { left; right; _ } ->
-      1 + size left + size right
-  | Nested_loop (_, l, r)
-  | Cross_product (l, r)
-  | Union_all (l, r)
-  | Hash_diff (l, r)
-  | Hash_intersect (l, r) ->
-      1 + size l + size r
-
-let rec exchange_count plan =
-  let own = match plan with Exchange _ -> 1 | _ -> 0 in
-  match plan with
-  | Const_scan _ | Seq_scan _ | Index_scan _ -> own
-  | Index_join { outer; _ } -> own + exchange_count outer
-  | Filter (_, t) | Project_op (_, t) | Hash_distinct t
-  | Hash_aggregate (_, _, t)
-  | Exchange { child = t; _ } ->
-      own + exchange_count t
-  | Hash_join { left; right; _ } ->
-      own + exchange_count left + exchange_count right
-  | Nested_loop (_, l, r)
-  | Cross_product (l, r)
-  | Union_all (l, r)
-  | Hash_diff (l, r)
-  | Hash_intersect (l, r) ->
-      own + exchange_count l + exchange_count r
-
 let children = function
   | Const_scan _ | Seq_scan _ | Index_scan _ -> []
   | Index_join { outer; _ } -> [ outer ]
@@ -152,6 +118,15 @@ let children = function
   | Hash_diff (l, r)
   | Hash_intersect (l, r) ->
       [ l; r ]
+
+let rec size plan =
+  List.fold_left (fun n child -> n + size child) 1 (children plan)
+
+let rec exchange_count plan =
+  List.fold_left
+    (fun n child -> n + exchange_count child)
+    (match plan with Exchange _ -> 1 | _ -> 0)
+    (children plan)
 
 let kind = function
   | Const_scan _ -> "ConstScan"
@@ -219,9 +194,12 @@ let label plan =
         aggs
 
 let pp_annotated ~annot ppf plan =
+  let next = ref 0 in
   let rec go indent plan =
     let pad = String.make indent ' ' in
-    (match annot plan with
+    let position = !next in
+    incr next;
+    (match annot position plan with
     | "" -> Format.fprintf ppf "%s%s@," pad (label plan)
     | a ->
         Format.fprintf ppf "%s%-*s %s@," pad
@@ -233,5 +211,5 @@ let pp_annotated ~annot ppf plan =
   go 0 plan;
   Format.fprintf ppf "@]"
 
-let pp ppf plan = pp_annotated ~annot:(fun _ -> "") ppf plan
+let pp ppf plan = pp_annotated ~annot:(fun _ _ -> "") ppf plan
 let to_string plan = Format.asprintf "%a" pp plan

@@ -110,9 +110,12 @@ val pp : Format.formatter -> t -> unit
 (** One operator per line, children indented — an EXPLAIN-style tree. *)
 
 val pp_annotated :
-  annot:(t -> string) -> Format.formatter -> t -> unit
-(** Like {!pp} but appending [annot node] to each line (column-aligned
-    when non-empty) — how EXPLAIN and EXPLAIN ANALYZE attach estimated
-    and measured figures to the tree. *)
+  annot:(int -> t -> string) -> Format.formatter -> t -> unit
+(** Like {!pp} but appending [annot i node] to each line (column-aligned
+    when non-empty), where [i] is the node's position in preorder —
+    [0] for the root, children left to right — so a caller holding
+    per-position figures (EXPLAIN ANALYZE's report tree) indexes them
+    without comparing nodes.  How EXPLAIN and EXPLAIN ANALYZE attach
+    estimated and measured figures to the tree. *)
 
 val to_string : t -> string

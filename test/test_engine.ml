@@ -335,6 +335,64 @@ let test_explain_analyze_two_join () =
         (contains needle))
     [ "est="; "act="; "q="; "time="; "total:" ]
 
+(* Records belong to plan positions, not to plan values: a subplan
+   shared by two positions is two operators, each reporting its own
+   rows — in the report tree and in the rendered EXPLAIN ANALYZE. *)
+let test_shared_subplan_two_records () =
+  let db = W.Beer.tiny in
+  let s = Physical.Seq_scan "beer" in
+  let a = Exec.run_instrumented db (Physical.Union_all (s, s)) in
+  let rows (r : Exec.report) = r.Exec.actual.Exec.out_rows in
+  Alcotest.(check (list int)) "each scan reports its own rows" [ 10; 10 ]
+    (List.map rows a.Exec.root.Exec.inputs);
+  Alcotest.(check int) "the union reports both" 20 (rows a.Exec.root);
+  let lines = String.split_on_char '\n' (Exec.analysis_to_string a) in
+  let scans =
+    List.filter
+      (fun l -> String.length l > 10 && String.sub l 0 10 = "  SeqScan ")
+      lines
+  in
+  Alcotest.(check int) "two scan lines" 2 (List.length scans);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) ("act=10 on " ^ l) true
+        (List.exists (String.equal "act=10") (String.split_on_char ' ' l)))
+    scans
+
+(* A plan thousands of operators deep runs and reports in one walk per
+   concern: every position gets a record, the report is as deep as the
+   plan, and each Filter reports the rows that passed it. *)
+let test_deep_filter_chain () =
+  let db = W.Beer.tiny in
+  let n = 20_000 in
+  let strong = Pred.gt (Scalar.attr 3) (Scalar.Lit (Value.Float 5.0))
+  and weak = Pred.gt (Scalar.attr 3) (Scalar.Lit (Value.Float 0.0)) in
+  let rec chain k plan =
+    if k = 0 then plan else chain (k - 1) (Physical.Filter (weak, plan))
+  in
+  let plan = chain (n - 1) (Physical.Filter (strong, Physical.Seq_scan "beer")) in
+  let expected =
+    Relation.cardinal (Eval.eval db (Expr.select strong (Expr.rel "beer")))
+  in
+  let a = Exec.run_instrumented db plan in
+  Alcotest.(check int) "result" expected (Relation.cardinal a.Exec.result);
+  Alcotest.(check int) "operators" (n + 1)
+    (Metrics.count (Metrics.counter a.Exec.totals "operators"));
+  let rec walk depth filters_ok (r : Exec.report) =
+    let ok =
+      match r.Exec.node with
+      | Physical.Filter _ -> filters_ok && r.Exec.actual.Exec.out_rows = expected
+      | _ -> filters_ok
+    in
+    match r.Exec.inputs with
+    | [] -> (depth, ok)
+    | [ input ] -> walk (depth + 1) ok input
+    | _ -> Alcotest.fail "a chain node with two inputs"
+  in
+  let depth, filters_ok = walk 1 true a.Exec.root in
+  Alcotest.(check int) "report depth" (n + 1) depth;
+  Alcotest.(check bool) "every Filter's rows" true filters_ok
+
 (* Satellite: instrumentation must not perturb bag semantics, including
    δ/Γ duplicate handling — for random well-typed expressions the
    instrumented run equals the reference evaluator and the
@@ -564,6 +622,10 @@ let suite =
       Alcotest.test_case "q-error" `Quick test_q_error;
       Alcotest.test_case "explain analyze on a 2-join query" `Quick
         test_explain_analyze_two_join;
+      Alcotest.test_case "a shared subplan is two records" `Quick
+        test_shared_subplan_two_records;
+      Alcotest.test_case "a 20k-deep σ chain reports every position" `Quick
+        test_deep_filter_chain;
       instrumented_matches_reference;
       one_set_of_numbers;
       counters_chunk_size_independent;
