@@ -13,56 +13,134 @@ type t = {
   columns : column array;
 }
 
-module VSet = Set.Make (Value)
-module VMap = Map.Make (Value)
+(* Def. 2.1: a relation is a function dom(R) -> N, so a column's
+   statistics are a count per value.  One pass over the bag feeds each
+   column's tally: an open-addressing hash table (linear probing from
+   [Value.hash]) whose cells point into dense slot arrays holding the
+   value as first seen and, on numeric columns only, its tuple count
+   and, on float columns only, the float last seen.  Entries are never
+   replaced.  The table starts small and doubles, staying at most half
+   full: sized from the support instead, it measured slower on the
+   retail line items, whose 130k distinct tuples hold 9 to 20000
+   distinct values per column.  A column keeps no slot array it does
+   not read, so a probe touches as little memory as its domain needs.
 
-let of_relation r =
-  let arity = Schema.arity (Relation.schema r) in
-  let seen = Array.make arity VSet.empty in
-  let counts = Array.make arity VMap.empty in
-  let lo = Array.make arity None and hi = Array.make arity None in
-  let update_extremum slot better v =
-    match slot with
-    | None -> Some v
-    | Some w -> if better (Value.compare v w) then Some v else Some w
-  in
-  let numeric = Array.map Domain.is_numeric (Array.of_list (Schema.domains (Relation.schema r))) in
-  Relation.Bag.iter
-    (fun tuple count ->
-      for i = 0 to arity - 1 do
-        let v = Tuple.attr tuple (i + 1) in
-        seen.(i) <- VSet.add v seen.(i);
-        lo.(i) <- update_extremum lo.(i) (fun c -> c < 0) v;
-        hi.(i) <- update_extremum hi.(i) (fun c -> c > 0) v;
-        if numeric.(i) then
-          counts.(i) <-
-            VMap.update v
-              (function None -> Some count | Some n -> Some (n + count))
-              counts.(i)
-      done)
-    (Relation.bag r);
-  let cumulative_of i =
-    if not numeric.(i) then [||]
+   First- and last-seen floats differ only in the bits of +-0 and nan:
+   the extremes keep a class's first-seen member and the histogram its
+   last-seen one, as the Set/Map reference in the tests does. *)
+type tally = {
+  mutable cells : int array;  (* slot + 1; 0 when free *)
+  mutable first : Value.t array;
+  mutable counts : int array;  (* [||] unless numeric *)
+  mutable last : float array;  (* [||] unless float *)
+  mutable size : int;
+}
+
+let tally domain =
+  let slots keep make = if keep then make 8 else [||] in
+  {
+    cells = Array.make 16 0;
+    first = Array.make 8 (Value.Int 0);
+    counts = slots (Domain.is_numeric domain) (fun n -> Array.make n 0);
+    last = slots (domain = Domain.DFloat) (fun n -> Array.make n 0.0);
+    size = 0;
+  }
+
+let next cells i = (i + 1) land (Array.length cells - 1)
+let home cells v = Value.hash v land (Array.length cells - 1)
+
+(* [v]'s slot, or [-c - 1] for the free cell [c] where it belongs. *)
+let rec probe t v i =
+  let s = t.cells.(i) - 1 in
+  if s < 0 then -i - 1
+  else if Value.equal t.first.(s) v then s
+  else probe t v (next t.cells i)
+
+let rec free cells i = if cells.(i) = 0 then i else free cells (next cells i)
+
+let grow t =
+  let cells = Array.make (2 * Array.length t.cells) 0 in
+  for s = 0 to t.size - 1 do
+    cells.(free cells (home cells t.first.(s))) <- s + 1
+  done;
+  t.cells <- cells;
+  (* Doubled by appending to itself: slots from [size] on are unread. *)
+  t.first <- Array.append t.first t.first;
+  t.counts <- Array.append t.counts t.counts;
+  t.last <- Array.append t.last t.last
+
+let count_value t v count =
+  let found = probe t v (home t.cells v) in
+  let s =
+    if found >= 0 then found
     else begin
-      let running = ref 0 in
-      VMap.bindings counts.(i)
-      |> List.map (fun (v, n) ->
-             running := !running + n;
-             (Value.as_float v, !running))
-      |> Array.of_list
+      let s = t.size in
+      t.cells.(-found - 1) <- s + 1;
+      t.first.(s) <- v;
+      t.size <- s + 1;
+      if 2 * t.size >= Array.length t.cells then grow t;
+      s
     end
   in
+  if Array.length t.counts > 0 then begin
+    (* A new slot's count was left over by [grow] or never set. *)
+    t.counts.(s) <- (if found >= 0 then t.counts.(s) + count else count);
+    match v with Value.Float f -> t.last.(s) <- f | _ -> ()
+  end
+
+(* A non-numeric column needs only its extremes: one scan.  A numeric
+   one sorts its distinct values once, which gives the extremes and the
+   exact cumulative histogram.  [stable_sort] is a merge sort, faster
+   here than [sort]'s heap sort; no two values tie. *)
+let column_of_tally ~numeric t =
+  if t.size = 0 then
+    { distinct = 0; min_value = None; max_value = None; cumulative = [||] }
+  else if not numeric then begin
+    let lo = ref t.first.(0) and hi = ref t.first.(0) in
+    for s = 1 to t.size - 1 do
+      let v = t.first.(s) in
+      if Value.compare v !lo < 0 then lo := v;
+      if Value.compare v !hi > 0 then hi := v
+    done;
+    { distinct = t.size; min_value = Some !lo; max_value = Some !hi; cumulative = [||] }
+  end
+  else begin
+    let order = Array.init t.size Fun.id in
+    Array.stable_sort (fun a b -> Value.compare t.first.(a) t.first.(b)) order;
+    let running = ref 0 in
+    let as_float s =
+      match t.first.(s) with Value.Float _ -> t.last.(s) | v -> Value.as_float v
+    in
+    {
+      distinct = t.size;
+      min_value = Some t.first.(order.(0));
+      max_value = Some t.first.(order.(t.size - 1));
+      cumulative =
+        Array.map
+          (fun s ->
+            running := !running + t.counts.(s);
+            (as_float s, !running))
+          order;
+    }
+  end
+
+let of_relation r =
+  let domains = Array.of_list (Schema.domains (Relation.schema r)) in
+  let tallies = Array.map tally domains in
+  let cardinality = ref 0 and support = ref 0 in
+  Relation.Bag.iter
+    (fun tuple count ->
+      cardinality := !cardinality + count;
+      incr support;
+      Array.iteri (fun i t -> count_value t (Tuple.attr tuple (i + 1)) count) tallies)
+    (Relation.bag r);
   {
-    cardinality = Relation.cardinal r;
-    support = Relation.support_size r;
+    cardinality = !cardinality;
+    support = !support;
     columns =
-      Array.init arity (fun i ->
-          {
-            distinct = VSet.cardinal seen.(i);
-            min_value = lo.(i);
-            max_value = hi.(i);
-            cumulative = cumulative_of i;
-          });
+      Array.mapi
+        (fun i t -> column_of_tally ~numeric:(Domain.is_numeric domains.(i)) t)
+        tallies;
   }
 
 let column t i =
@@ -102,14 +180,14 @@ let cum_below cumulative x =
   search 0 (n - 1) 0
 
 let fraction_below t i x =
-  match t.columns.(i - 1).cumulative with
+  match (column t i).cumulative with
   | [||] -> None
   | cumulative when t.cardinality = 0 -> ignore cumulative; None
   | cumulative ->
       Some (float_of_int (cum_below cumulative x) /. float_of_int t.cardinality)
 
 let fraction_eq t i x =
-  match t.columns.(i - 1).cumulative with
+  match (column t i).cumulative with
   | [||] -> None
   | cumulative when t.cardinality = 0 -> ignore cumulative; None
   | cumulative ->

@@ -3,8 +3,8 @@
     The optimizer's cost model needs, per base relation: the bag
     cardinality, the support size (distinct tuples), and per column the
     number of distinct values plus the numeric range when the domain is
-    numeric.  Statistics are computed by one scan and are exact — on
-    in-memory bags there is no reason to sample. *)
+    numeric.  Statistics are exact — on in-memory bags there is no
+    reason to sample. *)
 
 open Mxra_relational
 
@@ -26,6 +26,11 @@ type t = {
 }
 
 val of_relation : Relation.t -> t
+(** One pass over the bag, counting each column's values in a hash
+    table, then one sort of each numeric column's distinct values (a
+    non-numeric column scans them once for its extremes):
+    O(arity × support + Σ d log d) for [d] distinct values per
+    column. *)
 
 val column : t -> int -> column
 (** 1-based, matching attribute addressing.
@@ -45,15 +50,19 @@ val dup_factor : t -> float
 val fraction_below : t -> int -> float -> float option
 (** [fraction_below s i x]: exact fraction of tuples whose numeric
     attribute [i] is [< x]; [None] when the column is non-numeric or the
-    relation empty.  The basis for data-driven range selectivity. *)
+    relation empty.  The basis for data-driven range selectivity.
+    @raise Invalid_argument as {!column} does. *)
 
 val fraction_eq : t -> int -> float -> float option
-(** Exact fraction with attribute [i] equal to [x]. *)
+(** Exact fraction with attribute [i] equal to [x].
+    @raise Invalid_argument as {!column} does. *)
 
 type env = string -> t option
 (** Statistics lookup for named relations. *)
 
 val env_of_database : Database.t -> env
-(** Compute statistics for every relation once, eagerly. *)
+(** Statistics of a relation are computed on the env's first lookup of
+    its name, then reused by that env; an env never computes them for
+    relations it is not asked about.  Each env computes afresh. *)
 
 val pp : Format.formatter -> t -> unit

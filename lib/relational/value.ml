@@ -29,11 +29,17 @@ let compare_same_domain v1 v2 =
 
 let equal v1 v2 = compare v1 v2 = 0
 
-let hash = function
-  | Int n -> Hashtbl.hash (0, n)
-  | Float f -> Hashtbl.hash (1, f)
-  | Str s -> Hashtbl.hash (2, s)
-  | Bool b -> Hashtbl.hash (3, b)
+(* The domain rank seeds the hash of the payload, so no pair is boxed
+   per call.  [Hashtbl.hash] identifies -0.0 with 0.0 and every nan
+   with every other, as [compare] does, and mixes its result well
+   enough for tables indexed by its low bits (strided integer keys
+   included). *)
+let hash v =
+  match v with
+  | Int n -> Hashtbl.seeded_hash 0 n
+  | Float f -> Hashtbl.seeded_hash 1 f
+  | Str s -> Hashtbl.seeded_hash 2 s
+  | Bool b -> Hashtbl.seeded_hash 3 b
 
 (* Floats print with an explicit decimal point or exponent so that the
    concrete syntaxes re-read them into the float domain ("0" would come

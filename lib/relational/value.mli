@@ -34,7 +34,8 @@ val equal : t -> t -> bool
 (** Equality; values of different domains are unequal. *)
 
 val hash : t -> int
-(** Hash compatible with {!equal}. *)
+(** Hash compatible with {!equal} (both zeros alike, every nan alike),
+    well mixed in its low bits and allocation-free. *)
 
 val pp : Format.formatter -> t -> unit
 (** [42], [3.14], ['abc'] (single-quoted, quotes doubled), [true]. *)

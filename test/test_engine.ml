@@ -57,6 +57,148 @@ let test_stats_empty () =
   Alcotest.(check (float 1e-9)) "dup factor of empty" 1.0 (Stats.dup_factor s);
   Alcotest.(check bool) "no min" true ((Stats.column s 1).Stats.min_value = None)
 
+(* Out-of-range attributes get [Stats.column]'s documented error from
+   every accessor, not the stdlib's bare array-bounds message. *)
+let test_stats_out_of_range () =
+  let s = Stats.of_relation (Database.find "l" db) in
+  List.iter
+    (fun i ->
+      let error = Invalid_argument (Printf.sprintf "Stats.column: index %%%d out of range" i) in
+      Alcotest.check_raises "fraction_below" error (fun () ->
+          ignore (Stats.fraction_below s i 1.0));
+      Alcotest.check_raises "fraction_eq" error (fun () ->
+          ignore (Stats.fraction_eq s i 1.0)))
+    [ 0; 3 ]
+
+(* The oracle: statistics as a Set of distinct values, two running
+   extremes and a Map from value to tuple count per column, tuple by
+   tuple -- the formulation [Stats.of_relation] replaced, kept literal. *)
+module VSet = Set.Make (Value)
+module VMap = Map.Make (Value)
+
+let reference_stats r =
+  let arity = Schema.arity (Relation.schema r) in
+  let seen = Array.make arity VSet.empty in
+  let counts = Array.make arity VMap.empty in
+  let lo = Array.make arity None and hi = Array.make arity None in
+  let update_extremum slot better v =
+    match slot with
+    | None -> Some v
+    | Some w -> if better (Value.compare v w) then Some v else Some w
+  in
+  let numeric = Array.map Domain.is_numeric (Array.of_list (Schema.domains (Relation.schema r))) in
+  Relation.Bag.iter
+    (fun tuple count ->
+      for i = 0 to arity - 1 do
+        let v = Tuple.attr tuple (i + 1) in
+        seen.(i) <- VSet.add v seen.(i);
+        lo.(i) <- update_extremum lo.(i) (fun c -> c < 0) v;
+        hi.(i) <- update_extremum hi.(i) (fun c -> c > 0) v;
+        if numeric.(i) then
+          counts.(i) <-
+            VMap.update v
+              (function None -> Some count | Some n -> Some (n + count))
+              counts.(i)
+      done)
+    (Relation.bag r);
+  let cumulative_of i =
+    if not numeric.(i) then [||]
+    else begin
+      let running = ref 0 in
+      VMap.bindings counts.(i)
+      |> List.map (fun (v, n) ->
+             running := !running + n;
+             (Value.as_float v, !running))
+      |> Array.of_list
+    end
+  in
+  {
+    Stats.cardinality = Relation.cardinal r;
+    support = Relation.support_size r;
+    columns =
+      Array.init arity (fun i ->
+          {
+            Stats.distinct = VSet.cardinal seen.(i);
+            min_value = lo.(i);
+            max_value = hi.(i);
+            cumulative = cumulative_of i;
+          });
+  }
+
+(* Bit-for-bit: floats are compared by their bits, so -0.0 differs
+   from 0.0 and one nan from another. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> same_float x y
+  | _ -> Value.compare a b = 0
+
+let same_stats (a : Stats.t) (b : Stats.t) =
+  let same_column (c : Stats.column) (d : Stats.column) =
+    c.distinct = d.distinct
+    && Option.equal same_value c.min_value d.min_value
+    && Option.equal same_value c.max_value d.max_value
+    && Array.length c.cumulative = Array.length d.cumulative
+    && Array.for_all2
+         (fun (x, n) (y, m) -> same_float x y && n = m)
+         c.cumulative d.cumulative
+  in
+  a.cardinality = b.cardinality
+  && a.support = b.support
+  && Array.length a.columns = Array.length b.columns
+  && Array.for_all2 same_column a.columns b.columns
+
+(* Random relations over all four domains, with multiplicities above 1,
+   the empty relation, both zeros, nans of different bits and the
+   integer extremes. *)
+let gen_stats_relation =
+  let open QCheck.Gen in
+  let nan_payload = Int64.float_of_bits 0x7FF0000000000001L in
+  let value = function
+    | Domain.DInt ->
+        oneof
+          [ map (fun n -> Value.Int n) (int_range (-4) 4);
+            oneofl [ Value.Int min_int; Value.Int max_int; Value.Int (max_int - 1) ] ]
+    | Domain.DFloat ->
+        oneof
+          [ map (fun n -> Value.Float (float_of_int n /. 2.0)) (int_range (-4) 4);
+            oneofl
+              (List.map (fun f -> Value.Float f)
+                 [ 0.0; -0.0; Float.nan; -.Float.nan; nan_payload; infinity;
+                   neg_infinity; Float.max_float; float_of_int max_int ]) ]
+    | Domain.DStr -> map (fun s -> Value.Str s) (oneofl [ ""; "a"; "b"; "ab"; "it's" ])
+    | Domain.DBool -> map (fun b -> Value.Bool b) bool
+  in
+  int_range 1 4 >>= fun arity ->
+  list_repeat arity (oneofl Domain.[ DInt; DFloat; DStr; DBool ]) >>= fun domains ->
+  let schema = Schema.of_list (List.mapi (fun i d -> (Printf.sprintf "a%d" i, d)) domains) in
+  let tuple = map Tuple.of_list (flatten_l (List.map value domains)) in
+  map
+    (Relation.of_counted_list schema)
+    (oneof [ return []; small_list (pair tuple (int_range 1 3)) ])
+
+let stats_match_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"statistics = Set/Map reference, bit for bit"
+       ~count:500
+       (QCheck.make gen_stats_relation ~print:Relation.to_string)
+       (fun r -> same_stats (Stats.of_relation r) (reference_stats r)))
+
+let test_stats_retail_reference () =
+  let retail =
+    W.Retail.generate ~rng:(W.Rng.make 11) ~customers:40 ~orders:300 ()
+  in
+  List.iter
+    (fun db ->
+      List.iter
+        (fun name ->
+          let r = Database.find name db in
+          Alcotest.(check bool) name true
+            (same_stats (Stats.of_relation r) (reference_stats r)))
+        (Database.relation_names db))
+    [ retail; W.Beer.tiny ]
+
 (* --- cost model ---------------------------------------------------------- *)
 
 let stats = Stats.env_of_database db
@@ -605,6 +747,11 @@ let suite =
       Alcotest.test_case "statistics" `Quick test_stats;
       Alcotest.test_case "histograms" `Quick test_histograms;
       Alcotest.test_case "statistics of empty" `Quick test_stats_empty;
+      Alcotest.test_case "statistics: out-of-range attribute" `Quick
+        test_stats_out_of_range;
+      stats_match_reference;
+      Alcotest.test_case "statistics of retail and beer = reference" `Quick
+        test_stats_retail_reference;
       Alcotest.test_case "cost basics" `Quick test_cost_basics;
       Alcotest.test_case "cost: join vs product" `Quick test_cost_monotone_in_pipeline;
       Alcotest.test_case "selectivity" `Quick test_selectivity;

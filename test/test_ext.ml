@@ -166,6 +166,25 @@ let test_partition_skew () =
   Alcotest.(check bool) "balanced keys parallelise" true
     (Exec.work_balance (Exec.partition ~parts:4 ~keys:[ 1 ] balanced) > 2.0)
 
+(* Keys on a stride of 2^k (the low bits all equal) still reach every
+   part: [Value.hash] mixes, so the bucket is not the key's low bits. *)
+let test_partition_strided_keys () =
+  List.iter
+    (fun k ->
+      let rows =
+        Array.init 64 (fun i -> (Tuple.of_list [ Value.Int (i lsl k) ], 1))
+      in
+      List.iter
+        (fun parts ->
+          Alcotest.(check bool)
+            (Printf.sprintf "stride 2^%d over %d parts fills every part" k parts)
+            true
+            (Array.for_all
+               (fun b -> Array.length b > 0)
+               (Exec.partition ~parts ~keys:[ 1 ] rows)))
+        [ 2; 3; 4; 8 ])
+    [ 1; 4; 8; 16; 32 ]
+
 let suite =
   ( "ext",
     [
@@ -185,4 +204,6 @@ let suite =
       partition_alignment;
       Alcotest.test_case "partition skew and work balance" `Quick
         test_partition_skew;
+      Alcotest.test_case "partition spreads strided keys" `Quick
+        test_partition_strided_keys;
     ] )

@@ -19,6 +19,35 @@ let test_value_compare () =
     (Value.Incomparable (v_int 1, v_str "a"))
     (fun () -> ignore (Value.compare_same_domain (v_int 1) (v_str "a")))
 
+(* Hash tables key on [Value.hash]: equal values (both zeros, every nan)
+   must hash alike, and hashing must not allocate. *)
+let test_value_hash () =
+  let values =
+    [ v_int 0; v_int 1; v_int min_int; v_int max_int; v_float 0.0;
+      v_float (-0.0); v_float Float.nan; v_float (-.Float.nan);
+      v_float (Int64.float_of_bits 0x7FF0000000000001L); v_float 1.0;
+      v_str ""; v_str "a"; v_bool true; v_bool false ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Value.equal a b then
+            Alcotest.(check int)
+              (Printf.sprintf "hash %s = hash %s" (Value.to_string a) (Value.to_string b))
+              (Value.hash a) (Value.hash b))
+        values)
+    values;
+  let before = Gc.minor_words () in
+  List.iter
+    (fun v ->
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Value.hash v))
+      done)
+    values;
+  Alcotest.(check bool) "hashing allocates nothing" true
+    (Gc.minor_words () -. before < 100.0)
+
 let test_value_pp () =
   Alcotest.(check string) "int" "42" (Value.to_string (v_int 42));
   Alcotest.(check string) "string quoted" "'ab'" (Value.to_string (v_str "ab"));
@@ -203,6 +232,7 @@ let suite =
   ( "relational",
     [
       Alcotest.test_case "value compare" `Quick test_value_compare;
+      Alcotest.test_case "value hash" `Quick test_value_hash;
       Alcotest.test_case "value printing" `Quick test_value_pp;
       Alcotest.test_case "value numeric" `Quick test_value_numeric;
       Alcotest.test_case "domains" `Quick test_domain;
